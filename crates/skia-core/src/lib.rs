@@ -57,5 +57,5 @@ pub mod sbd;
 pub mod skia;
 
 pub use sbb::{Sbb, SbbConfig, SbbHit, SbbStats};
-pub use sbd::{HeadDecode, IndexPolicy, ShadowBranch, ShadowDecoder, ShadowDecoderStats};
+pub use sbd::{HeadDecode, IndexPolicy, Region, ShadowBranch, ShadowDecoder, ShadowDecoderStats};
 pub use skia::{Skia, SkiaConfig, SkiaStats};

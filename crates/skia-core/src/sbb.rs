@@ -18,6 +18,9 @@
 //! bit is clear, so bogus branches (artifacts of wrong head-decode paths that
 //! will never commit) leave first.
 
+use std::collections::HashMap;
+use std::ops::Range;
+
 use skia_isa::{BranchKind, CACHE_LINE_BYTES};
 use skia_uarch::TagArray;
 
@@ -148,55 +151,142 @@ pub struct SbbStats {
     pub evicted_unretired: u64,
 }
 
+/// Per-line bitmaps of resident SBB pcs (both halves): bit `i` of a line's
+/// word is set iff the pc `line_base + i` is resident. Lines inside the
+/// dense span — the program's branch-table span, where nearly every shadow
+/// branch lies — are one word each in a flat array; lines outside it
+/// (wrong-path or injected pcs) fall back to a hash map.
+#[derive(Debug, Clone)]
+struct Residency {
+    /// Line-aligned base of the dense span.
+    base: u64,
+    /// One bitmap per line of the dense span.
+    dense: Vec<u64>,
+    /// Bitmaps of lines outside the dense span; a line's entry is removed
+    /// when its last bit clears.
+    sparse: HashMap<u64, u64, MemoBuild>,
+}
+
+/// Largest dense span, in lines (32 MB of bitmaps for 256 MB of code); a
+/// larger span is mirrored sparsely throughout instead.
+const MAX_DENSE_LINES: u64 = 1 << 22;
+
+impl Residency {
+    fn new(span: Range<u64>) -> Self {
+        let base = span.start & LINE_MASK;
+        let lines = span
+            .end
+            .saturating_sub(base)
+            .div_ceil(CACHE_LINE_BYTES as u64);
+        let lines = if lines > MAX_DENSE_LINES { 0 } else { lines };
+        Residency {
+            base,
+            dense: vec![0; lines as usize],
+            sparse: HashMap::default(),
+        }
+    }
+
+    /// Index of `line` (a line base) in the dense array, if inside it.
+    #[inline]
+    fn dense_index(&self, line: u64) -> Option<usize> {
+        let i = line.wrapping_sub(self.base) / CACHE_LINE_BYTES as u64;
+        (i < self.dense.len() as u64).then_some(i as usize)
+    }
+
+    #[inline]
+    fn bits(&self, line: u64) -> u64 {
+        match self.dense_index(line) {
+            Some(i) => self.dense[i],
+            None => self.sparse.get(&line).copied().unwrap_or(0),
+        }
+    }
+
+    fn set(&mut self, pc: u64) {
+        let (line, bit) = (pc & LINE_MASK, 1u64 << (pc & !LINE_MASK));
+        match self.dense_index(line) {
+            Some(i) => self.dense[i] |= bit,
+            None => *self.sparse.entry(line).or_insert(0) |= bit,
+        }
+    }
+
+    fn clear(&mut self, pc: u64) {
+        let (line, bit) = (pc & LINE_MASK, 1u64 << (pc & !LINE_MASK));
+        match self.dense_index(line) {
+            Some(i) => self.dense[i] &= !bit,
+            None => {
+                if let Some(m) = self.sparse.get_mut(&line) {
+                    *m &= !bit;
+                    if *m == 0 {
+                        self.sparse.remove(&line);
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// The split Shadow Branch Buffer.
 ///
 /// Keeps a per-cache-line bitmap mirror of resident PCs (both halves) so
 /// the BPU can scan for "the next shadow branch in this fetch window" with
-/// a hash probe and a trailing-zeros count per window line — the same
-/// service the BTB provides through its fetch-block indexing, without the
-/// ordered-tree walk an earlier `BTreeSet` mirror paid on every cycle.
+/// one word read and a trailing-zeros count per window line — the same
+/// service the BTB provides through its fetch-block indexing — and the
+/// shadow-decode fill can tell in one read whether a decoded region is
+/// already wholly resident.
 #[derive(Debug, Clone)]
 pub struct Sbb {
     u: TagArray<UEntry>,
     r: TagArray<REntry>,
-    /// Cache-line base → bitmap of resident pc byte offsets in that line.
-    /// Maintained as a plain set (bit set on insert, cleared on removal),
-    /// exactly mirroring TagArray residency of the union of both halves.
-    keys: std::collections::HashMap<u64, u64, MemoBuild>,
+    /// Exactly mirrors TagArray residency of the union of both halves.
+    resident: Residency,
     config: SbbConfig,
     stats: SbbStats,
 }
 
-/// Line-base mask for the `keys` bitmap mirror.
+/// Line-base mask for the residency bitmaps.
 const LINE_MASK: u64 = !(CACHE_LINE_BYTES as u64 - 1);
 
 impl Sbb {
-    /// Build an SBB.
+    /// Build an SBB whose residency mirror is hash-mapped throughout (see
+    /// [`Sbb::with_dense_span`]).
     ///
     /// # Panics
     ///
     /// Panics if the geometry does not divide into whole sets.
     #[must_use]
     pub fn new(config: SbbConfig) -> Self {
+        Sbb::with_dense_span(config, 0..0)
+    }
+
+    /// Build an SBB whose residency mirror stores the lines of `span` (the
+    /// program's branch-table span) densely, one word per line. Results
+    /// are identical for any span; only the mirror's speed and memory
+    /// differ.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry does not divide into whole sets.
+    #[must_use]
+    pub fn with_dense_span(config: SbbConfig, span: Range<u64>) -> Self {
         assert!(config.u_entries.is_multiple_of(config.ways));
         assert!(config.r_entries.is_multiple_of(config.ways));
         Sbb {
             u: TagArray::new(config.u_entries / config.ways, config.ways),
             r: TagArray::new(config.r_entries / config.ways, config.ways),
-            keys: std::collections::HashMap::default(),
+            resident: Residency::new(span),
             config,
             stats: SbbStats::default(),
         }
     }
 
     /// The lowest resident shadow-branch PC in `[start, limit)` — the
-    /// BPU's fetch-window scan. Touches one bitmap per window line.
+    /// BPU's fetch-window scan. Reads one bitmap per window line.
     #[must_use]
     pub fn next_key_in(&self, start: u64, limit: u64) -> Option<u64> {
         let mut base = start & LINE_MASK;
         while base < limit {
-            if let Some(&bits) = self.keys.get(&base) {
-                let mut m = bits;
+            let mut m = self.resident.bits(base);
+            if m != 0 {
                 if base < start {
                     m &= !0u64 << (start - base);
                 }
@@ -212,18 +302,20 @@ impl Sbb {
         None
     }
 
-    /// Set `pc`'s bit in the bitmap mirror.
-    fn key_insert(&mut self, pc: u64) {
-        *self.keys.entry(pc & LINE_MASK).or_insert(0) |= 1u64 << (pc & !LINE_MASK);
+    /// Bitmap of the resident pcs in the cache line at `line_base`: bit `i`
+    /// is set iff [`Sbb::probe`] finds `line_base + i`.
+    #[must_use]
+    #[inline]
+    pub fn line_bits(&self, line_base: u64) -> u64 {
+        self.resident.bits(line_base & LINE_MASK)
     }
 
-    /// Clear `pc`'s bit in the bitmap mirror (no-op when absent).
+    /// Clear `pc`'s residency bit once neither half holds it (a pc can sit
+    /// in both halves only when inserted as two kinds without the fill's
+    /// probe-before-insert discipline).
     fn key_remove(&mut self, pc: u64) {
-        if let Some(m) = self.keys.get_mut(&(pc & LINE_MASK)) {
-            *m &= !(1u64 << (pc & !LINE_MASK));
-            if *m == 0 {
-                self.keys.remove(&(pc & LINE_MASK));
-            }
+        if self.probe(pc).is_none() {
+            self.resident.clear(pc);
         }
     }
 
@@ -313,7 +405,7 @@ impl Sbb {
                     },
                     |e| retired_aware && !e.retired,
                 );
-                self.key_insert(branch.pc);
+                self.resident.set(branch.pc);
                 if let Some((tag, old)) = evicted {
                     if tag != branch.pc {
                         self.key_remove(tag);
@@ -339,7 +431,7 @@ impl Sbb {
                     },
                     |e| retired_aware && !e.retired,
                 );
-                self.key_insert(branch.pc);
+                self.resident.set(branch.pc);
                 if let Some((tag, old)) = evicted {
                     if tag != branch.pc {
                         self.key_remove(tag);
@@ -508,6 +600,74 @@ mod tests {
         assert_eq!(c.u_entries, 768);
         assert_eq!(c.r_entries, 2024);
         assert!((c.storage_kb() - 12.25).abs() < 0.05);
+    }
+
+    /// Residency-mirror invariant: after any sequence of inserts (of any
+    /// kind, so a pc can sit in both halves), lookups, retirements and
+    /// invalidations, every line's bitmap is exactly the set of pcs
+    /// `probe` finds, and the window scan agrees — for lines inside the
+    /// dense span and for lines on either side of it (map fallback).
+    mod residency {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Two dense lines; pcs span one line below and one above them.
+        const SPAN: Range<u64> = 0x1000..0x1080;
+        const LINES: Range<u64> = 0x0fc0..0x10c0;
+
+        fn pc_of(slot: u16) -> u64 {
+            LINES.start + u64::from(slot) % (LINES.end - LINES.start)
+        }
+
+        fn check(s: &Sbb) -> Result<(), String> {
+            for line in LINES.step_by(CACHE_LINE_BYTES) {
+                let probed = (0..64u64)
+                    .filter(|&i| s.probe(line + i).is_some())
+                    .fold(0u64, |m, i| m | 1 << i);
+                if s.line_bits(line) != probed {
+                    return Err(format!(
+                        "line {line:#x}: bitmap {:#x} != probed {probed:#x}",
+                        s.line_bits(line)
+                    ));
+                }
+                let first = (probed != 0).then(|| line + u64::from(probed.trailing_zeros()));
+                if s.next_key_in(line, line + 64) != first {
+                    return Err(format!("line {line:#x}: window scan disagrees"));
+                }
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            #[test]
+            fn line_bitmaps_equal_probed_pcs(
+                ops in proptest::collection::vec((0u8..6, any::<u16>(), any::<u16>()), 1..160),
+            ) {
+                let mut s = Sbb::with_dense_span(
+                    SbbConfig {
+                        u_entries: 8,
+                        r_entries: 8,
+                        ways: 2,
+                        retired_aware: true,
+                    },
+                    SPAN,
+                );
+                for (op, a, b) in ops {
+                    let pc = pc_of(a);
+                    match op {
+                        0 => drop(s.insert(&sb(pc, BranchKind::DirectUncond, Some(pc_of(b))))),
+                        1 => drop(s.insert(&sb(pc, BranchKind::Call, Some(pc_of(b))))),
+                        2 => drop(s.insert(&sb(pc, BranchKind::Return, None))),
+                        3 => drop(s.lookup(pc)),
+                        4 => s.mark_retired(pc),
+                        _ => s.invalidate(pc),
+                    }
+                    prop_assert_eq!(check(&s), Ok(()));
+                }
+            }
+        }
     }
 
     #[test]

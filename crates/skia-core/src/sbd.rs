@@ -22,9 +22,9 @@
 //!    branches.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
-use skia_isa::{decode, BranchKind, DecodeError, InsnKind};
+use skia_isa::decode::Decoded;
+use skia_isa::{decode, BranchKind, InsnKind, CACHE_LINE_BYTES};
 
 /// Which validated path supplies the decoded shadow branches (§3.2.2,
 /// "Valid Index" optimization).
@@ -106,40 +106,103 @@ pub struct ShadowDecoderStats {
     pub valid_path_sum: u64,
 }
 
-/// Entry bound for the head- and tail-decode memos: at ~100 bytes per
-/// cached [`HeadDecode`] this is ≈13 MB, enough that paper-scale programs
-/// (thousands of functions, each contributing a handful of distinct
-/// `(line, entry)` pairs) stay memo-resident instead of thrashing. Each
-/// memo is cleared wholesale when full (re-decoding is cheap; bookkeeping
-/// an LRU here would cost more than it saves). The bound only affects
-/// speed, never results: memo hits replay the exact stat increments of a
-/// fresh decode.
-const HEAD_MEMO_CAP: usize = 128 * 1024;
+/// Entry bound for the region memo (head and tail entries together). At
+/// ~40 bytes per entry plus its pooled branches this is ≈16 MB, enough
+/// that paper-scale programs (thousands of functions, each contributing a
+/// handful of distinct `(line, offset)` regions) stay memo-resident instead
+/// of thrashing. The memo and its branch pool are cleared wholesale when
+/// either fills (re-decoding is cheap; bookkeeping an LRU here would cost
+/// more than it saves). The bound only affects speed, never results: memo
+/// hits replay the exact stat increments of a fresh decode.
+const MEMO_CAP: usize = 256 * 1024;
 
-/// The decoder: configuration plus counters. Decoding itself is pure.
+/// Branch-pool bound paired with [`MEMO_CAP`] (regions average well under
+/// one branch each, so this is rarely the bound that trips).
+const POOL_CAP: usize = 2 * MEMO_CAP;
+
+/// `chosen` value of a [`Slot`] whose head region chose no start.
+const NO_START: u8 = u8::MAX;
+
+/// Memo key: the region's address, `line_base | slot`, where the slot is
+/// `entry - 1` for a head region (entries 1..=64) and `exit` for a tail
+/// region (exits 0..=63), with head and tail entries tagged apart.
+///
+/// The key is exact under the decoder's contract: line bases are
+/// line-aligned, and the bytes at a given line base are stable for the
+/// decoder's lifetime — true for every production caller, which decodes
+/// lines of one immutable [`skia_workloads::Program`]. Release builds key
+/// on the address alone, so a memo hit never reads program memory. Debug
+/// builds add the region's content hash, so a caller that breaks the
+/// stable-content contract (two different lines at one address fed to one
+/// decoder) is caught by the `head_memo_distinguishes_content_at_same_address`
+/// test rather than silently aliasing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct MemoKey {
+    region: u64,
+    tail: bool,
+    #[cfg(debug_assertions)]
+    content: u64,
+}
+
+/// One memoized region decode, held inline in the memo: a range of the
+/// decoder's branch pool plus everything the stats and [`HeadDecode`] need.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// Bit `i` set iff a decoded branch starts at line offset `i`.
+    offsets: u64,
+    /// Head regions: bit `i` set iff the path from start index `i`
+    /// validated (the [`HeadDecode::valid_starts`] set).
+    valid_starts: u64,
+    /// First pool index of the region's branches.
+    start: u32,
+    /// Number of branches (at most one per line offset).
+    count: u8,
+    /// Head regions: the chosen start index, or [`NO_START`].
+    chosen: u8,
+    /// Head regions: discarded for exceeding the valid-path bound.
+    discarded: bool,
+}
+
+impl Slot {
+    const EMPTY: Slot = Slot {
+        offsets: 0,
+        valid_starts: 0,
+        start: 0,
+        count: 0,
+        chosen: NO_START,
+        discarded: false,
+    };
+
+    fn range(&self) -> std::ops::Range<usize> {
+        let start = self.start as usize;
+        start..start + usize::from(self.count)
+    }
+}
+
+/// The shadow branches of one decoded region, borrowed from the decoder's
+/// memo.
+#[derive(Debug, Clone, Copy)]
+pub struct Region<'a> {
+    /// The branches, in ascending line-offset order.
+    pub branches: &'a [ShadowBranch],
+    /// Bit `i` set iff one of `branches` starts at line offset `i`.
+    pub offsets: u64,
+}
+
+/// The decoder: configuration, counters, and the region memo.
 #[derive(Debug, Clone)]
 pub struct ShadowDecoder {
     policy: IndexPolicy,
     max_valid_paths: usize,
     stats: ShadowDecoderStats,
-    /// Memo for [`decode_head`]: FDIP re-fetches the same hot lines at the
-    /// same entry points constantly, and head decoding (per-offset Index
-    /// Computation + Path Validation) is the most expensive thing the SBD
-    /// does. Keyed by `(line base, entry offset, [`key_hash`] of the head
-    /// bytes)` — see [`key_hash`] for the stable-content contract that lets
-    /// release builds skip the hash. Results are pure given the key and the
-    /// fixed policy, so hits replay the stat increments and return a shared
-    /// `Arc` handle (no per-hit allocation).
-    ///
-    /// [`decode_head`]: ShadowDecoder::decode_head
-    head_memo: HashMap<(u64, u32, u64), Arc<HeadDecode>, MemoBuild>,
-    /// Memo for [`decode_tail`], same scheme as `head_memo`: keyed by
-    /// `(line base, exit offset, [`key_hash`] of the tail bytes)`. Tail decoding
-    /// is a pure linear decode, so a hit returns a shared handle and
-    /// replays the identical stat increments.
-    ///
-    /// [`decode_tail`]: ShadowDecoder::decode_tail
-    tail_memo: HashMap<(u64, u32, u64), Arc<Vec<ShadowBranch>>, MemoBuild>,
+    /// FDIP re-fetches the same hot lines at the same entry and exit
+    /// points constantly, and head decoding (per-offset Index Computation
+    /// and Path Validation) is the most expensive thing the SBD does.
+    /// Results are pure given the key and the fixed policy, so hits replay
+    /// the stat increments and return the pooled branches.
+    memo: HashMap<MemoKey, Slot, MemoBuild>,
+    /// Branches of every memoized region, each region a contiguous range.
+    pool: Vec<ShadowBranch>,
 }
 
 impl Default for ShadowDecoder {
@@ -148,11 +211,10 @@ impl Default for ShadowDecoder {
     }
 }
 
-/// Content hash for the memo keys: FNV-1a-style mixing over 8-byte words
-/// (regions are at most a cache line, so this is a handful of multiplies
-/// instead of one per byte — the hash runs on every decode call). The
-/// length is folded in so a short region never collides with a longer one
-/// sharing a prefix.
+/// Content hash for debug memo keys: FNV-1a-style mixing over 8-byte words.
+/// The length is folded in so a short region never collides with a longer
+/// one sharing a prefix.
+#[cfg(debug_assertions)]
 fn content_hash(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325 ^ (bytes.len() as u64);
     let mut chunks = bytes.chunks_exact(8);
@@ -168,36 +230,9 @@ fn content_hash(bytes: &[u8]) -> u64 {
     hash.wrapping_mul(0x0000_0100_0000_01b3)
 }
 
-/// The content component of a memo key.
-///
-/// The decoders' memo contract is that the bytes at a given line base are
-/// stable for the decoder's lifetime — true for every production caller,
-/// which decodes lines of one immutable [`skia_workloads::Program`]. Debug
-/// builds key on the full content hash anyway, so any caller that violates
-/// the contract (two different lines at one address fed to one decoder)
-/// is caught by the `head_memo_distinguishes_content_at_same_address`
-/// test rather than silently aliasing. Release builds skip the hash: on a
-/// memo hit it is the only reader of the line bytes, so skipping it keeps
-/// hot hits from touching program memory at all.
-#[inline]
-fn key_hash(bytes: &[u8]) -> u64 {
-    if cfg!(debug_assertions) {
-        content_hash(bytes)
-    } else {
-        0
-    }
-}
-
-/// Shared empty result for zero-length head regions, so the hot early-out
-/// in [`ShadowDecoder::decode_head`] never allocates.
-fn empty_head() -> &'static Arc<HeadDecode> {
-    static EMPTY: std::sync::OnceLock<Arc<HeadDecode>> = std::sync::OnceLock::new();
-    EMPTY.get_or_init(|| Arc::new(HeadDecode::default()))
-}
-
-/// FNV-1a table hasher for the memo maps. The memos are consulted on every
-/// shadow-decoded block, and std's default SipHash shows up in profiles;
-/// the keys already contain a content hash, so a fast non-keyed hasher
+/// FNV-1a table hasher for the memo and the SBB/Skia side maps. The memo
+/// is consulted on every shadow-decoded block, and std's default SipHash
+/// shows up in profiles; the keys are addresses, so a fast non-keyed hasher
 /// loses nothing (the maps are never exposed to untrusted keys).
 #[derive(Clone)]
 pub(crate) struct FnvTableHasher(u64);
@@ -209,8 +244,8 @@ impl Default for FnvTableHasher {
 }
 
 impl FnvTableHasher {
-    /// One word-sized FNV round plus a xor-shift fold. Memo keys are tuples
-    /// of word-sized integers (line bases have their low 6 bits zero), and a
+    /// One word-sized FNV round plus a xor-shift fold. Memo keys are
+    /// word-sized addresses whose entropy sits in the low-middle bits, and a
     /// single multiply only propagates entropy upward — the fold brings the
     /// high bits back down so hashbrown's low-bit bucket index sees them.
     #[inline]
@@ -265,8 +300,8 @@ impl ShadowDecoder {
             policy,
             max_valid_paths,
             stats: ShadowDecoderStats::default(),
-            head_memo: HashMap::default(),
-            tail_memo: HashMap::default(),
+            memo: HashMap::default(),
+            pool: Vec::new(),
         }
     }
 
@@ -282,318 +317,367 @@ impl ShadowDecoder {
         self.stats
     }
 
-    /// Decode the **tail** shadow region of `line`: bytes from `exit_offset`
-    /// (the first byte after the taken branch) to the end of the line.
+    /// Decode the **head** shadow region of the cache line at `line_base`:
+    /// bytes `0..entry_offset` (at most [`CACHE_LINE_BYTES`]).
     ///
-    /// `line_base` is the address of byte 0 of the line. Decoding stops at
-    /// the first undecodable byte or at an instruction that spills past the
-    /// line end (its boundary cannot be known from this line alone).
+    /// Runs Index Computation + Path Validation and extracts branches from
+    /// the path selected by the [`IndexPolicy`]. `line` supplies the line's
+    /// bytes and is called only when the memo misses (debug builds call it
+    /// every time to key on content; see [`MemoKey`]). A memo hit replays
+    /// the stat increments a fresh decode would make, so counters are
+    /// identical with and without the memo.
+    pub fn head<L: AsRef<[u8]>>(
+        &mut self,
+        line_base: u64,
+        entry_offset: usize,
+        line: impl FnOnce() -> L,
+    ) -> Region<'_> {
+        let slot = self.head_slot(line_base, entry_offset, line);
+        self.region(slot)
+    }
+
+    /// Decode the **tail** shadow region of the cache line at `line_base`:
+    /// bytes from `exit_offset` (the first byte after the taken branch) to
+    /// the end of the line. `line` is read only on a memo miss, as for
+    /// [`ShadowDecoder::head`].
+    ///
+    /// Decoding stops at the first undecodable byte or at an instruction
+    /// that spills past the line end (its boundary cannot be known from
+    /// this line alone).
+    pub fn tail<L: AsRef<[u8]>>(
+        &mut self,
+        line_base: u64,
+        exit_offset: usize,
+        line: impl FnOnce() -> L,
+    ) -> Region<'_> {
+        let slot = self.tail_slot(line_base, exit_offset, line);
+        self.region(slot)
+    }
+
+    /// [`ShadowDecoder::head`] over an in-memory line, returning an owned
+    /// copy of the full outcome (valid starts and chosen index included).
+    /// `line_base` is the address of byte 0 of the line.
+    pub fn decode_head(&mut self, line: &[u8], line_base: u64, entry_offset: usize) -> HeadDecode {
+        let slot = self.head_slot(line_base, entry_offset.min(line.len()), || line);
+        let mut valid_starts = Vec::with_capacity(slot.valid_starts.count_ones() as usize);
+        let mut mask = slot.valid_starts;
+        while mask != 0 {
+            valid_starts.push(mask.trailing_zeros() as u8);
+            mask &= mask - 1;
+        }
+        HeadDecode {
+            branches: self.pool[slot.range()].to_vec(),
+            valid_starts,
+            chosen_start: (slot.chosen != NO_START).then_some(slot.chosen),
+            discarded: slot.discarded,
+        }
+    }
+
+    /// [`ShadowDecoder::tail`] over an in-memory line, returning an owned
+    /// copy of the branches.
     pub fn decode_tail(
         &mut self,
         line: &[u8],
         line_base: u64,
         exit_offset: usize,
-    ) -> Arc<Vec<ShadowBranch>> {
-        Arc::clone(self.decode_tail_memo(line, line_base, exit_offset))
+    ) -> Vec<ShadowBranch> {
+        self.tail(line_base, exit_offset, || line).branches.to_vec()
     }
 
-    /// [`ShadowDecoder::decode_tail`] without the `Arc` clone: the hot
-    /// caller (one invocation per formed block) only iterates the result,
-    /// and skipping the refcount round-trip keeps the memo-hit path free of
-    /// a dirty cache line on the shared allocation.
-    pub fn decode_tail_ref(
-        &mut self,
-        line: &[u8],
-        line_base: u64,
-        exit_offset: usize,
-    ) -> &[ShadowBranch] {
-        self.decode_tail_memo(line, line_base, exit_offset)
-    }
-
-    fn decode_tail_memo(
-        &mut self,
-        line: &[u8],
-        line_base: u64,
-        exit_offset: usize,
-    ) -> &Arc<Vec<ShadowBranch>> {
-        self.stats.tail_regions += 1;
-        let key = (
-            line_base,
-            exit_offset as u32,
-            key_hash(&line[exit_offset.min(line.len())..]),
-        );
-        // Cap check up front so the single-lookup `entry` below can insert
-        // unconditionally. Clearing is never observable: memo hits replay
-        // the exact stat increments of a fresh decode.
-        if self.tail_memo.len() >= HEAD_MEMO_CAP {
-            self.tail_memo.clear();
+    fn region(&self, slot: Slot) -> Region<'_> {
+        Region {
+            branches: &self.pool[slot.range()],
+            offsets: slot.offsets,
         }
-        let found = self
-            .tail_memo
-            .entry(key)
-            .or_insert_with(|| Arc::new(Self::decode_tail_uncached(line, line_base, exit_offset)));
-        self.stats.tail_branches += found.len() as u64;
-        found
     }
 
-    /// The actual tail linear decode (no stats, no memo).
-    fn decode_tail_uncached(line: &[u8], line_base: u64, exit_offset: usize) -> Vec<ShadowBranch> {
-        let mut found = Vec::new();
-        let mut off = exit_offset;
-        while off < line.len() {
-            match decode::decode(&line[off..]) {
-                Ok(d) => {
-                    if let InsnKind::Branch(b) = d.kind {
-                        if b.kind.sbb_eligible() {
-                            let pc = line_base + off as u64;
-                            found.push(ShadowBranch {
-                                pc,
-                                len: d.len,
-                                kind: b.kind,
-                                target: b.target(pc, d.len),
-                                line_offset: off as u8,
-                            });
-                        }
-                        if b.kind.is_unconditional() {
-                            // Control cannot fall past an unconditional
-                            // branch; bytes beyond it belong to a new decode
-                            // context we cannot anchor. Continue anyway:
-                            // the next byte *is* a known boundary (the next
-                            // instruction starts right after), matching the
-                            // paper's "decode until the end of the line".
-                        }
-                    }
-                    off += usize::from(d.len);
-                }
-                Err(DecodeError::Truncated(_)) | Err(DecodeError::TooLong) => break,
-                Err(DecodeError::InvalidOpcode) => break,
-            }
-        }
-        found
-    }
-
-    /// Decode the **head** shadow region of `line`: bytes `0..entry_offset`.
-    ///
-    /// Runs Index Computation + Path Validation and extracts branches from
-    /// the path selected by the [`IndexPolicy`]. Results are memoized per
-    /// `(line base, entry offset, head bytes)`: a memo hit replays the same
-    /// stat increments a fresh decode would make, so counters are identical
-    /// with and without the memo.
-    pub fn decode_head(
+    fn head_slot<L: AsRef<[u8]>>(
         &mut self,
-        line: &[u8],
         line_base: u64,
         entry_offset: usize,
-    ) -> Arc<HeadDecode> {
-        Arc::clone(self.decode_head_memo(line, line_base, entry_offset))
-    }
-
-    /// [`ShadowDecoder::decode_head`] without the `Arc` clone (see
-    /// [`ShadowDecoder::decode_tail_ref`] for why the hot path wants this).
-    pub fn decode_head_ref(
-        &mut self,
-        line: &[u8],
-        line_base: u64,
-        entry_offset: usize,
-    ) -> &HeadDecode {
-        self.decode_head_memo(line, line_base, entry_offset)
-    }
-
-    fn decode_head_memo(
-        &mut self,
-        line: &[u8],
-        line_base: u64,
-        entry_offset: usize,
-    ) -> &Arc<HeadDecode> {
+        line: impl FnOnce() -> L,
+    ) -> Slot {
         self.stats.head_regions += 1;
-        let entry = entry_offset.min(line.len());
+        let entry = entry_offset.min(CACHE_LINE_BYTES);
         if entry == 0 {
-            return empty_head();
-        }
-        let key = (line_base, entry as u32, key_hash(&line[..entry]));
-        // Cap check up front so the single-lookup `entry` below can insert
-        // unconditionally (clearing is unobservable; see the memo docs).
-        if self.head_memo.len() >= HEAD_MEMO_CAP {
-            self.head_memo.clear();
+            return Slot::EMPTY;
         }
         let (policy, max_valid_paths) = (self.policy, self.max_valid_paths);
-        let hd = self.head_memo.entry(key).or_insert_with(|| {
-            Arc::new(Self::decode_head_uncached(
-                policy,
-                max_valid_paths,
-                line,
-                line_base,
-                entry,
-            ))
-        });
-        Self::record_head_stats(&mut self.stats, hd);
-        hd
-    }
-
-    /// The stat increments one head decode contributes (beyond
-    /// `head_regions`, charged by the caller) — derived from the outcome so
-    /// memo hits and fresh decodes count identically by construction.
-    fn record_head_stats(stats: &mut ShadowDecoderStats, hd: &HeadDecode) {
-        if hd.discarded {
+        let slot = self.memo(
+            line_base,
+            entry as u64 - 1,
+            false,
+            line,
+            |bytes| &bytes[..entry.min(bytes.len())],
+            |bytes, pool| decode_head_into(policy, max_valid_paths, bytes, line_base, entry, pool),
+        );
+        // The stat increments one head decode contributes, derived from
+        // the outcome so memo hits and fresh decodes count identically.
+        let stats = &mut self.stats;
+        if slot.discarded {
             stats.head_regions_discarded += 1;
-        } else if !hd.valid_starts.is_empty() {
+        } else if slot.valid_starts != 0 {
             stats.head_regions_valid += 1;
-            stats.valid_path_sum += hd.valid_starts.len() as u64;
-            stats.head_branches += hd.branches.len() as u64;
+            stats.valid_path_sum += u64::from(slot.valid_starts.count_ones());
+            stats.head_branches += u64::from(slot.count);
+        }
+        slot
+    }
+
+    fn tail_slot<L: AsRef<[u8]>>(
+        &mut self,
+        line_base: u64,
+        exit_offset: usize,
+        line: impl FnOnce() -> L,
+    ) -> Slot {
+        self.stats.tail_regions += 1;
+        if exit_offset >= CACHE_LINE_BYTES {
+            return Slot::EMPTY;
+        }
+        let slot = self.memo(
+            line_base,
+            exit_offset as u64,
+            true,
+            line,
+            |bytes| &bytes[exit_offset.min(bytes.len())..],
+            |bytes, pool| decode_tail_into(bytes, line_base, exit_offset, pool),
+        );
+        self.stats.tail_branches += u64::from(slot.count);
+        slot
+    }
+
+    /// The memo lookup shared by both regions: `slot` is the region's line
+    /// offset (see [`MemoKey`]), `region_bytes` selects the region's bytes
+    /// from the line (debug keys), and `decode` fills the pool on a miss.
+    fn memo<L: AsRef<[u8]>>(
+        &mut self,
+        line_base: u64,
+        slot: u64,
+        tail: bool,
+        line: impl FnOnce() -> L,
+        region_bytes: impl Fn(&[u8]) -> &[u8],
+        decode: impl FnOnce(&[u8], &mut Vec<ShadowBranch>) -> Slot,
+    ) -> Slot {
+        debug_assert!(
+            line_base.is_multiple_of(CACHE_LINE_BYTES as u64),
+            "line base {line_base:#x} is not line-aligned"
+        );
+        // Debug builds read the line up front to key on its content;
+        // release builds read it only on a miss.
+        #[cfg(debug_assertions)]
+        let (content, line) = {
+            let bytes = line();
+            (content_hash(region_bytes(bytes.as_ref())), move || bytes)
+        };
+        #[cfg(not(debug_assertions))]
+        let _ = region_bytes;
+        let key = MemoKey {
+            region: line_base | slot,
+            tail,
+            #[cfg(debug_assertions)]
+            content,
+        };
+        // Cap check up front so the single-lookup `entry` below can insert
+        // unconditionally (clearing is unobservable; see `MEMO_CAP`).
+        if self.memo.len() >= MEMO_CAP || self.pool.len() >= POOL_CAP {
+            self.memo.clear();
+            self.pool.clear();
+        }
+        let pool = &mut self.pool;
+        *self
+            .memo
+            .entry(key)
+            .or_insert_with(|| decode(line().as_ref(), pool))
+    }
+}
+
+/// The shadow branch `d` decoded at line offset `off`, if it is an
+/// SBB-eligible branch.
+fn shadow_branch(d: &Decoded, line_base: u64, off: usize) -> Option<ShadowBranch> {
+    let InsnKind::Branch(b) = d.kind else {
+        return None;
+    };
+    b.kind.sbb_eligible().then(|| {
+        let pc = line_base + off as u64;
+        ShadowBranch {
+            pc,
+            len: d.len,
+            kind: b.kind,
+            target: b.target(pc, d.len),
+            line_offset: off as u8,
+        }
+    })
+}
+
+/// Push `branch` onto the pool and account it in `slot`.
+fn push_branch(pool: &mut Vec<ShadowBranch>, slot: &mut Slot, branch: ShadowBranch) {
+    slot.offsets |= 1 << branch.line_offset;
+    slot.count += 1;
+    pool.push(branch);
+}
+
+/// The tail linear decode (no stats, no memo), appending to `pool`.
+fn decode_tail_into(
+    line: &[u8],
+    line_base: u64,
+    exit_offset: usize,
+    pool: &mut Vec<ShadowBranch>,
+) -> Slot {
+    let line = &line[..line.len().min(CACHE_LINE_BYTES)];
+    let mut slot = Slot {
+        start: pool.len() as u32,
+        ..Slot::EMPTY
+    };
+    let mut off = exit_offset;
+    while off < line.len() {
+        // Truncated, over-long and invalid encodings all end the walk.
+        let Ok(d) = decode::decode(&line[off..]) else {
+            break;
+        };
+        // Bytes after an unconditional branch belong to a new decode
+        // context we cannot anchor, but the next byte *is* a known boundary
+        // (the next instruction starts right after), matching the paper's
+        // "decode until the end of the line".
+        if let Some(b) = shadow_branch(&d, line_base, off) {
+            push_branch(pool, &mut slot, b);
+        }
+        off += usize::from(d.len);
+    }
+    slot
+}
+
+/// The actual Index Computation + Path Validation (no stats, no memo),
+/// appending the chosen path's branches to `pool`. `entry` is at most
+/// [`CACHE_LINE_BYTES`].
+fn decode_head_into(
+    policy: IndexPolicy,
+    max_valid_paths: usize,
+    line: &[u8],
+    line_base: u64,
+    entry: usize,
+    pool: &mut Vec<ShadowBranch>,
+) -> Slot {
+    let entry = entry.min(line.len());
+    let mut slot = Slot {
+        start: pool.len() as u32,
+        ..Slot::EMPTY
+    };
+
+    // Phase 1: Index Computation. lengths[i] = instruction length when
+    // decoding from byte i, or 0 if no valid instruction starts there.
+    // An instruction is only usable on a path if it ends at or before
+    // the entry point (the path must *align* with the entry).
+    let mut lengths = [0u8; CACHE_LINE_BYTES];
+    for (i, slot) in lengths[..entry].iter_mut().enumerate() {
+        if let Ok(d) = decode::decode(&line[i..]) {
+            if i + usize::from(d.len) <= entry {
+                *slot = d.len;
+            }
         }
     }
 
-    /// The actual Index Computation + Path Validation (no stats, no memo).
-    fn decode_head_uncached(
-        policy: IndexPolicy,
-        max_valid_paths: usize,
-        line: &[u8],
-        line_base: u64,
-        entry: usize,
-    ) -> HeadDecode {
-        // Phase 1: Index Computation. lengths[i] = instruction length when
-        // decoding from byte i, or 0 if no valid instruction starts there.
-        // An instruction is only usable on a path if it ends at or before
-        // the entry point (the path must *align* with the entry).
-        let mut lengths = vec![0u8; entry];
-        for (i, slot) in lengths.iter_mut().enumerate() {
-            if let Ok(d) = decode::decode(&line[i..]) {
-                if i + usize::from(d.len) <= entry {
-                    *slot = d.len;
-                }
+    // Phase 2: Path Validation. Walk each start index; valid iff the
+    // chain lands exactly on `entry`. Paths that run into an offset
+    // already visited by an earlier valid path *merge* into it (§3.2.2);
+    // the ambiguity bound counts distinct non-merging path families —
+    // a line is only "too ambiguous" when many chains coexist without
+    // ever converging.
+    let mut first_start = None;
+    let mut last_index: Vec<u8> = Vec::new(); // final hop start per path
+    let mut families = 0usize;
+    let mut on_valid_path = [false; CACHE_LINE_BYTES];
+    for start in 0..entry {
+        let mut pos = start;
+        let mut last = start;
+        let mut merged = false;
+        let valid = loop {
+            if pos == entry {
+                break true;
             }
-        }
-
-        // Phase 2: Path Validation. Walk each start index; valid iff the
-        // chain lands exactly on `entry`. Paths that run into an offset
-        // already visited by an earlier valid path *merge* into it (§3.2.2);
-        // the ambiguity bound counts distinct non-merging path families —
-        // a line is only "too ambiguous" when many chains coexist without
-        // ever converging.
-        let mut valid_starts: Vec<u8> = Vec::new();
-        let mut last_index: Vec<u8> = Vec::new(); // final hop start per path
-        let mut families = 0usize;
-        let mut on_valid_path = vec![false; entry];
-        let mut discarded = false;
-        for start in 0..entry {
-            let mut pos = start;
-            let mut last = start;
-            let mut merged = false;
-            let valid = loop {
-                if pos == entry {
-                    break true;
-                }
-                if on_valid_path[pos] {
-                    merged = true;
-                    // The remainder of this chain is an already-validated
-                    // path, so it is valid by construction; its last hop is
-                    // irrelevant for the merge index (an earlier family
-                    // already recorded the shared suffix).
-                    break true;
-                }
-                let len = lengths[pos];
-                if len == 0 {
-                    break false;
-                }
-                last = pos;
-                pos += usize::from(len);
-                if pos > entry {
-                    break false;
-                }
-            };
-            if valid {
-                if !merged {
-                    families += 1;
-                    if families > max_valid_paths {
-                        discarded = true;
-                        break;
-                    }
-                }
-                valid_starts.push(start as u8);
-                if merged {
-                    last_index.push(pos as u8); // merge point
-                } else {
-                    last_index.push(last as u8);
-                }
-                // Mark every offset on this path as visited.
-                let mut p = start;
-                while p < entry && !on_valid_path[p] {
-                    on_valid_path[p] = true;
-                    let l = lengths[p];
-                    if l == 0 {
-                        break;
-                    }
-                    p += usize::from(l);
-                }
+            if on_valid_path[pos] {
+                merged = true;
+                // The remainder of this chain is an already-validated
+                // path, so it is valid by construction; its last hop is
+                // irrelevant for the merge index (an earlier family
+                // already recorded the shared suffix).
+                break true;
             }
-        }
-
-        if discarded {
-            return HeadDecode {
-                branches: Vec::new(),
-                valid_starts,
-                chosen_start: None,
-                discarded: true,
-            };
-        }
-        if valid_starts.is_empty() {
-            return HeadDecode::default();
-        }
-
-        let chosen = match policy {
-            IndexPolicy::First => valid_starts[0],
-            // "upon finding a valid path, byte decoding begins starting from
-            // index zero" — even when the zero path itself did not validate;
-            // extraction below stops at the first undecodable byte.
-            IndexPolicy::Zero => 0,
-            IndexPolicy::Merge => {
-                // The most common recent (final-hop) index among all valid
-                // paths: where they converge. Decode starts there.
-                let mut best = (0usize, last_index[0]);
-                for &cand in &last_index {
-                    let count = last_index.iter().filter(|&&x| x == cand).count();
-                    if count > best.0 || (count == best.0 && cand < best.1) {
-                        best = (count, cand);
-                    }
-                }
-                best.1
-            }
-        };
-
-        // Extract branches along the chosen path.
-        let mut branches = Vec::new();
-        let mut pos = usize::from(chosen);
-        while pos < entry {
             let len = lengths[pos];
             if len == 0 {
-                // Only reachable under the Zero policy when the zero path
-                // itself was not among the validated ones.
-                break;
+                break false;
             }
-            if let Ok(d) = decode::decode(&line[pos..]) {
-                if let InsnKind::Branch(b) = d.kind {
-                    if b.kind.sbb_eligible() {
-                        let pc = line_base + pos as u64;
-                        branches.push(ShadowBranch {
-                            pc,
-                            len: d.len,
-                            kind: b.kind,
-                            target: b.target(pc, d.len),
-                            line_offset: pos as u8,
-                        });
-                    }
+            last = pos;
+            pos += usize::from(len);
+            if pos > entry {
+                break false;
+            }
+        };
+        if valid {
+            if !merged {
+                families += 1;
+                if families > max_valid_paths {
+                    slot.discarded = true;
+                    return slot;
                 }
             }
-            pos += usize::from(len);
-        }
-
-        HeadDecode {
-            branches,
-            valid_starts,
-            chosen_start: Some(chosen),
-            discarded: false,
+            slot.valid_starts |= 1 << start;
+            first_start.get_or_insert(start as u8);
+            last_index.push(if merged { pos as u8 } else { last as u8 });
+            // Mark every offset on this path as visited.
+            let mut p = start;
+            while p < entry && !on_valid_path[p] {
+                on_valid_path[p] = true;
+                let l = lengths[p];
+                if l == 0 {
+                    break;
+                }
+                p += usize::from(l);
+            }
         }
     }
+
+    let Some(first_start) = first_start else {
+        return slot;
+    };
+    let chosen = match policy {
+        IndexPolicy::First => first_start,
+        // "upon finding a valid path, byte decoding begins starting from
+        // index zero" — even when the zero path itself did not validate;
+        // extraction below stops at the first undecodable byte.
+        IndexPolicy::Zero => 0,
+        IndexPolicy::Merge => {
+            // The most common recent (final-hop) index among all valid
+            // paths: where they converge. Decode starts there.
+            let mut best = (0usize, last_index[0]);
+            for &cand in &last_index {
+                let count = last_index.iter().filter(|&&x| x == cand).count();
+                if count > best.0 || (count == best.0 && cand < best.1) {
+                    best = (count, cand);
+                }
+            }
+            best.1
+        }
+    };
+    slot.chosen = chosen;
+
+    // Extract branches along the chosen path.
+    let mut pos = usize::from(chosen);
+    while pos < entry {
+        let len = lengths[pos];
+        if len == 0 {
+            // Only reachable under the Zero policy when the zero path
+            // itself was not among the validated ones.
+            break;
+        }
+        if let Some(b) = decode::decode(&line[pos..])
+            .ok()
+            .and_then(|d| shadow_branch(&d, line_base, pos))
+        {
+            push_branch(pool, &mut slot, b);
+        }
+        pos += usize::from(len);
+    }
+    slot
 }
 
 #[cfg(test)]
@@ -837,6 +921,31 @@ mod tests {
     }
 
     #[test]
+    fn head_and_tail_memo_entries_at_one_offset_stay_apart() {
+        // Head entry 8 and tail exit 7 share the memo address
+        // `line_base | 7`; only the head/tail tag keeps them apart (release
+        // keys carry no content). The head path is call, nop, `xor ebx,eax`
+        // (bytes 6..8); the tail, decoding from byte 7, sees that xor's
+        // second byte as a return. An alias in either order is visible.
+        let line = pad_to_line({
+            let mut b = Vec::new();
+            encode::call_rel32(&mut b, 0x40);
+            encode::nop_exact(&mut b, 1);
+            b.extend([0x31, 0xC3]);
+            b
+        });
+        let mut sbd = ShadowDecoder::default();
+        for _ in 0..2 {
+            let head = sbd.decode_head(&line, 0x7000, 8);
+            assert_eq!(head.branches.len(), 1);
+            assert_eq!(head.branches[0].kind, BranchKind::Call);
+            let tail = sbd.decode_tail(&line, 0x7000, 7);
+            assert_eq!(tail.len(), 1);
+            assert_eq!(tail[0].kind, BranchKind::Return);
+        }
+    }
+
+    #[test]
     fn head_memo_hit_replays_identical_stats_and_result() {
         // One valid region, one discarded region, one empty region: decode
         // each twice and require result equality plus exactly doubled stats.
@@ -861,7 +970,9 @@ mod tests {
         let a2 = twice.decode_head(&valid, 0x8000, 8);
         assert_eq!(
             a2.branches,
-            ShadowDecoder::decode_head_uncached(IndexPolicy::First, 1, &valid, 0x8000, 8).branches
+            ShadowDecoder::new(IndexPolicy::First, 1)
+                .decode_head(&valid, 0x8000, 8)
+                .branches
         );
         let b2 = twice.decode_head(&discarded, 0x9000, 2);
         assert!(b2.discarded);
@@ -877,7 +988,7 @@ mod tests {
     }
 
     /// Debug-only: release memo keys rely on the stable-content contract
-    /// (see [`key_hash`]) instead of hashing the bytes.
+    /// (see [`MemoKey`]) instead of hashing the bytes.
     #[cfg(debug_assertions)]
     #[test]
     fn head_memo_distinguishes_content_at_same_address() {

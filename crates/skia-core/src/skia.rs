@@ -16,8 +16,12 @@
 
 use skia_telemetry::{EventKind, EventTrace, Histogram, MetricRegistry};
 
+use std::ops::Range;
+
+use skia_isa::CACHE_LINE_BYTES;
+
 use crate::sbb::{Sbb, SbbConfig, SbbHit, SbbStats};
-use crate::sbd::{IndexPolicy, ShadowBranch, ShadowDecoder, ShadowDecoderStats};
+use crate::sbd::{IndexPolicy, Region, ShadowBranch, ShadowDecoder, ShadowDecoderStats};
 
 /// Complete Skia configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -195,13 +199,20 @@ impl Skia {
     /// Build Skia from its configuration.
     #[must_use]
     pub fn new(config: SkiaConfig) -> Self {
+        Skia::with_dense_span(config, 0..0)
+    }
+
+    /// Build Skia with the SBB's residency mirror dense over `span` (the
+    /// program's branch-table span; see [`Sbb::with_dense_span`]).
+    #[must_use]
+    pub fn with_dense_span(config: SkiaConfig, span: Range<u64>) -> Self {
         let sbb_config = SbbConfig {
             retired_aware: config.retired_bit_replacement,
             ..config.sbb
         };
         Skia {
             sbd: ShadowDecoder::new(config.index_policy, config.max_valid_paths),
-            sbb: Sbb::new(sbb_config),
+            sbb: Sbb::with_dense_span(sbb_config, span),
             config,
             filtered_known: 0,
             bogus_uses: 0,
@@ -257,31 +268,32 @@ impl Skia {
     ///
     /// Returns the number of shadow branches inserted.
     pub fn on_line_entered(&mut self, line: &[u8], line_base: u64, entry_offset: usize) -> usize {
-        self.on_line_entered_filtered(line, line_base, entry_offset, |_| false)
+        let entry_offset = entry_offset.min(line.len());
+        self.on_line_entered_filtered(line_base, entry_offset, || line, |_| false)
     }
 
-    /// [`Skia::on_line_entered`] with a `known` filter: branches for which
-    /// `known(pc)` returns `true` (e.g. already BTB-resident) are skipped.
-    pub fn on_line_entered_filtered(
+    /// [`Skia::on_line_entered`] for the cache line at `line_base`, whose
+    /// bytes `line` supplies only when the decoder's memo misses, with a
+    /// `known` filter: branches for which `known(pc)` returns `true` (e.g.
+    /// already BTB-resident) are skipped.
+    pub fn on_line_entered_filtered<L: AsRef<[u8]>>(
         &mut self,
-        line: &[u8],
         line_base: u64,
         entry_offset: usize,
+        line: impl FnOnce() -> L,
         known: impl Fn(u64) -> bool,
     ) -> usize {
         if !self.config.head || entry_offset == 0 {
             return 0;
         }
-        // Split borrow: the decoded result stays a reference into the SBD
-        // memo (no per-call `Arc` refcount round-trip) while `fill` mutates
-        // the disjoint SBB-side fields.
-        let hd = self.sbd.decode_head_ref(line, line_base, entry_offset);
+        let region = self.sbd.head(line_base, entry_offset, line);
         fill_sbb(
             &mut self.sbb,
             &mut self.ever_inserted,
             &mut self.filtered_known,
             &mut self.tel,
-            &hd.branches,
+            line_base,
+            region,
             known,
         )
     }
@@ -290,27 +302,32 @@ impl Skia {
     /// `exit_offset` (first byte after the taken branch); examine bytes
     /// `exit_offset..`.
     pub fn on_line_exited(&mut self, line: &[u8], line_base: u64, exit_offset: usize) -> usize {
-        self.on_line_exited_filtered(line, line_base, exit_offset, |_| false)
-    }
-
-    /// [`Skia::on_line_exited`] with a `known` filter.
-    pub fn on_line_exited_filtered(
-        &mut self,
-        line: &[u8],
-        line_base: u64,
-        exit_offset: usize,
-        known: impl Fn(u64) -> bool,
-    ) -> usize {
-        if !self.config.tail || exit_offset >= line.len() {
+        if exit_offset >= line.len() {
             return 0;
         }
-        let branches = self.sbd.decode_tail_ref(line, line_base, exit_offset);
+        self.on_line_exited_filtered(line_base, exit_offset, || line, |_| false)
+    }
+
+    /// [`Skia::on_line_exited`] for the cache line at `line_base`, read
+    /// lazily, with a `known` filter (see [`Skia::on_line_entered_filtered`]).
+    pub fn on_line_exited_filtered<L: AsRef<[u8]>>(
+        &mut self,
+        line_base: u64,
+        exit_offset: usize,
+        line: impl FnOnce() -> L,
+        known: impl Fn(u64) -> bool,
+    ) -> usize {
+        if !self.config.tail || exit_offset >= CACHE_LINE_BYTES {
+            return 0;
+        }
+        let region = self.sbd.tail(line_base, exit_offset, line);
         fill_sbb(
             &mut self.sbb,
             &mut self.ever_inserted,
             &mut self.filtered_known,
             &mut self.tel,
-            branches,
+            line_base,
+            region,
             known,
         )
     }
@@ -391,11 +408,42 @@ impl Skia {
     }
 }
 
-/// Insert decoded shadow branches into the SBB (the body of the two
-/// shadow-decode hooks). A free function over `Skia`'s disjoint fields so
-/// the branch list may remain borrowed from the SBD memo while the SBB side
-/// mutates.
+/// Insert a decoded region's shadow branches into the SBB (the body of
+/// the two shadow-decode hooks). A free function over `Skia`'s disjoint
+/// fields so the region may remain borrowed from the SBD memo while the
+/// SBB side mutates.
+///
+/// Fast path: when every branch of the region is already SBB-resident,
+/// the per-branch loop would count each one as known and insert nothing,
+/// so it is skipped for one bitmap read. This is exact: with no insertion
+/// no SBB state can change between the loop's probes, and the `known`
+/// filter is never consulted for a resident branch.
 fn fill_sbb(
+    sbb: &mut Sbb,
+    ever_inserted: &mut std::collections::HashSet<u64, crate::sbd::MemoBuild>,
+    filtered_known: &mut u64,
+    tel: &mut Option<SkiaTelemetry>,
+    line_base: u64,
+    region: Region<'_>,
+    known: impl Fn(u64) -> bool,
+) -> usize {
+    if region.offsets & !sbb.line_bits(line_base) == 0 {
+        *filtered_known += region.branches.len() as u64;
+        return 0;
+    }
+    fill_each(
+        sbb,
+        ever_inserted,
+        filtered_known,
+        tel,
+        region.branches,
+        known,
+    )
+}
+
+/// The per-branch fill: probe each branch, count known ones, insert the
+/// rest.
+fn fill_each(
     sbb: &mut Sbb,
     ever_inserted: &mut std::collections::HashSet<u64, crate::sbd::MemoBuild>,
     filtered_known: &mut u64,
@@ -501,7 +549,7 @@ mod tests {
     fn known_filter_suppresses_insertion() {
         let (line, entry, base) = line_with_head_ret();
         let mut skia = Skia::new(first_policy());
-        let n = skia.on_line_entered_filtered(&line, base, entry, |pc| pc == base + 3);
+        let n = skia.on_line_entered_filtered(base, entry, || &line, |pc| pc == base + 3);
         assert_eq!(n, 0);
         assert_eq!(skia.stats().filtered_known, 1);
     }
@@ -559,6 +607,113 @@ mod tests {
         assert_eq!(snap.counter("skia.sbb.u_inserts"), Some(0));
         assert_eq!(snap.counter("skia.sbb.r_inserts"), Some(1));
         assert!(snap.gauge("skia.bogus_rate").is_some());
+    }
+
+    /// The fill's all-resident fast path against the per-branch loop it
+    /// short-cuts: two Skias driven by the same head/tail decodes of
+    /// branch-dense lines, one through the hooks (fast path armed) and one
+    /// through the decoder plus `fill_each` alone, must end with identical
+    /// stats and SBB contents — with the BTB-resident filter on and off.
+    #[test]
+    fn fill_fast_path_matches_per_branch_loop() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        const BASE: u64 = 0x4000;
+        const LINES: usize = 6;
+        let mut rng = SmallRng::seed_from_u64(17);
+        // Lines packed with 1- to 5-byte instructions, most of them
+        // SBB-eligible branches, so regions hold several branches each.
+        let lines: Vec<Vec<u8>> = (0..LINES)
+            .map(|_| {
+                let mut line = Vec::new();
+                while line.len() < 59 {
+                    match rng.gen_range(0..5u32) {
+                        0 => encode::ret(&mut line),
+                        1 => encode::jmp_rel8(&mut line, 16),
+                        2 => encode::call_rel32(&mut line, 0x200),
+                        3 => encode::jmp_rel32(&mut line, -0x80),
+                        _ => encode::nop_exact(&mut line, 2),
+                    };
+                }
+                let pad = 64 - line.len();
+                if pad > 0 {
+                    encode::nop_exact(&mut line, pad);
+                }
+                line
+            })
+            .collect();
+
+        for filter in [false, true] {
+            let config = SkiaConfig {
+                index_policy: IndexPolicy::First,
+                sbb: SbbConfig {
+                    u_entries: 8,
+                    r_entries: 8,
+                    ways: 2,
+                    retired_aware: true,
+                },
+                filter_btb_resident: filter,
+                ..SkiaConfig::default()
+            };
+            let span = BASE..BASE + 64 * LINES as u64;
+            let mut fast = Skia::with_dense_span(config, span.clone());
+            let mut slow = Skia::with_dense_span(config, span);
+            // Stand-in for "already BTB-resident" under the filter.
+            let known = |pc: u64| filter && pc.is_multiple_of(5);
+            let mut fast_hits = 0;
+            for step in 0..4000u64 {
+                let k = rng.gen_range(0..LINES);
+                let (line, base) = (&lines[k], BASE + 64 * k as u64);
+                let offset = rng.gen_range(1..64usize);
+                let head = rng.gen_bool(0.5);
+                // Reference: decode, then the per-branch loop alone. Both
+                // SBBs agree before this step, so the fast side takes its
+                // fast path exactly when this region is wholly resident.
+                let region = if head {
+                    slow.sbd.head(base, offset, || line)
+                } else {
+                    slow.sbd.tail(base, offset, || line)
+                };
+                if region.offsets != 0 && region.offsets & !fast.sbb.line_bits(base) == 0 {
+                    fast_hits += 1;
+                }
+                let n_slow = fill_each(
+                    &mut slow.sbb,
+                    &mut slow.ever_inserted,
+                    &mut slow.filtered_known,
+                    &mut slow.tel,
+                    region.branches,
+                    known,
+                );
+                let n_fast = if head {
+                    fast.on_line_entered_filtered(base, offset, || line, known)
+                } else {
+                    fast.on_line_exited_filtered(base, offset, || line, known)
+                };
+                assert_eq!(n_fast, n_slow, "step {step}: inserted counts differ");
+                // Churn the SBB the way the front-end does.
+                let pc = base + rng.gen_range(0..64u64);
+                match step % 7 {
+                    0 => {
+                        fast.invalidate(pc);
+                        slow.invalidate(pc);
+                    }
+                    1 => {
+                        fast.mark_retired(pc);
+                        slow.mark_retired(pc);
+                    }
+                    _ => {}
+                }
+            }
+            assert_eq!(fast.stats(), slow.stats(), "filter={filter}");
+            assert_eq!(fast.occupancy(), slow.occupancy());
+            assert_eq!(fast.ever_inserted_count(), slow.ever_inserted_count());
+            for pc in BASE..BASE + 64 * LINES as u64 {
+                assert_eq!(fast.probe(pc), slow.probe(pc), "pc {pc:#x}");
+            }
+            assert!(fast_hits >= 50, "fast path barely fired: {fast_hits}");
+        }
     }
 
     #[test]

@@ -36,12 +36,29 @@ pub const DEFAULT_STEPS: usize = 400_000;
 
 /// Resolve the step budget: `SKIA_STEPS` env var overrides the default so
 /// quick sanity runs and long calibration runs use the same binaries.
+///
+/// A set but unusable value (not a positive integer) exits with an error
+/// naming it, the same rule as unknown command-line flags: a typo must not
+/// silently run the 400k-step default.
 #[must_use]
 pub fn steps_from_env() -> usize {
-    std::env::var("SKIA_STEPS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_STEPS)
+    let raw = match std::env::var("SKIA_STEPS") {
+        Err(std::env::VarError::NotPresent) => return DEFAULT_STEPS,
+        Err(std::env::VarError::NotUnicode(v)) => v.to_string_lossy().into_owned(),
+        Ok(v) => v,
+    };
+    parse_steps(&raw).unwrap_or_else(|msg| {
+        eprintln!("error: {msg}");
+        std::process::exit(2);
+    })
+}
+
+/// The testable core of [`steps_from_env`].
+fn parse_steps(raw: &str) -> Result<usize, String> {
+    match raw.parse::<usize>() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!("SKIA_STEPS={raw:?}: not a positive integer")),
+    }
 }
 
 /// Materialize the [`SamplingConfig`] for a `steps`-long run from resolved
@@ -302,8 +319,9 @@ static TRACE_STATS: TraceStats = TraceStats {
 /// Process-wide simulate-phase totals, surfaced by [`JsonEmitter::finish`]
 /// as `sim.steps_total` / `sim.busy_seconds` / `sim.steps_per_sec` — the
 /// raw-throughput numbers the run manifest and `BENCH_sim.json` track.
-/// Busy time is summed per-job wall time (not elapsed), so it is
-/// thread-count-independent up to scheduling noise.
+/// Steps count every job's delivered steps, including jobs a sweep served
+/// by deduplication; busy time is summed per-simulation wall time (not
+/// elapsed), so it is thread-count-independent up to scheduling noise.
 struct SimTotals {
     steps: AtomicU64,
     busy_micros: AtomicU64,
@@ -334,6 +352,10 @@ impl SamplingTotals {
             .fetch_add(plan.total_steps as u64, Ordering::Relaxed);
     }
 }
+
+/// Sweep jobs served by another job's simulation of the same key (see
+/// [`Sweep::run`]), surfaced as `sweep.dedup_hits`.
+static SWEEP_DEDUP_HITS: AtomicU64 = AtomicU64::new(0);
 
 static SAMPLING_TOTALS: SamplingTotals = SamplingTotals {
     jobs: AtomicU64::new(0),
@@ -533,6 +555,13 @@ struct SweepJob {
     steps: usize,
 }
 
+impl SweepJob {
+    /// Whether `other` simulates exactly the same run.
+    fn same_key(&self, other: &SweepJob) -> bool {
+        self.bench == other.bench && self.steps == other.steps && self.config == other.config
+    }
+}
+
 /// A deferred (benchmark × config) sweep executed on the [`skia_runner`]
 /// thread pool.
 ///
@@ -613,6 +642,33 @@ impl Sweep {
         self.jobs.is_empty()
     }
 
+    /// Queued jobs that repeat an earlier job's (bench, config, steps) key
+    /// and so will be served by its simulation in [`Sweep::run`].
+    #[must_use]
+    pub fn dedup_hits(&self) -> usize {
+        self.jobs.len() - self.groups().0.len()
+    }
+
+    /// The first job of each distinct key ("leaders", in job order) and
+    /// each job's index into them.
+    fn groups(&self) -> (Vec<&SweepJob>, Vec<usize>) {
+        let mut leaders: Vec<&SweepJob> = Vec::new();
+        let group = self
+            .jobs
+            .iter()
+            .map(|job| {
+                leaders
+                    .iter()
+                    .position(|l| l.same_key(job))
+                    .unwrap_or_else(|| {
+                        leaders.push(job);
+                        leaders.len() - 1
+                    })
+            })
+            .collect();
+        (leaders, group)
+    }
+
     /// Execute every queued job and return their stats in job order,
     /// merging telemetry into `emitter` (also in job order) when it is
     /// enabled. Prints a runs/sec summary — and per-run wall times under
@@ -622,10 +678,14 @@ impl Sweep {
     /// queued jobs are identified (folding each to its longest requested
     /// step count — a recorded trace serves any prefix) and their traces
     /// are recorded once each, in parallel, through the trace cache and
-    /// process memo. **Simulate**: every job replays its workload's shared
+    /// process memo. **Simulate**: each distinct (bench, config, steps) key
+    /// is simulated once, replaying its workload's shared
     /// `Arc<RecordedTrace>` — an N-config sweep walks each trace once, not
     /// N times, and the simulate phase is RNG- and walker-free. Replay is
-    /// bit-identical to the live walk, so results are unchanged.
+    /// bit-identical to the live walk, and a repeated key's stats and
+    /// snapshot are copies of its first job's, so results, merged telemetry
+    /// and the step totals are unchanged; only `sweep.dedup_hits` and the
+    /// busy time show the skipped simulations.
     pub fn run(self, emitter: &mut JsonEmitter) -> Vec<SimStats> {
         // -- prepare phase ---------------------------------------------------
         let prepare_span = skia_telemetry::span("sweep.prepare");
@@ -668,21 +728,26 @@ impl Sweep {
         drop(prepare_span);
 
         // -- simulate phase --------------------------------------------------
+        // Jobs with the same (bench, config, steps) key produce identical
+        // stats and snapshots (the sampling knobs are per-sweep), so each
+        // distinct key is simulated once, by its first job, and its result
+        // is handed to every job of the group in job order below.
         let _simulate_span = skia_telemetry::span("sweep.simulate");
+        let (leaders, group) = self.groups();
+        SWEEP_DEDUP_HITS.fetch_add((self.jobs.len() - leaders.len()) as u64, Ordering::Relaxed);
         let tc = emitter.trace_config();
         let sampling = &self.sampling;
-        let (timed, report) = skia_runner::run_timed(&self.jobs, self.threads, |_, job| {
+        let (timed, report) = skia_runner::run_timed(&leaders, self.threads, |_, job| {
             let _g = skia_telemetry::span_with(|| format!("sim.job:{}", job.bench));
             let w = workload(&job.bench);
             let trace = &traces[index[job.bench.as_str()]];
             // Sampled path: build the plan (a pure function of trace +
             // knobs, so thread- and order-invariant) and replay only its
-            // slices. Returns the steps actually replayed so the
-            // throughput totals report real work, not represented work.
+            // slices. Carries the plan so the throughput and sampling
+            // totals report real work, not represented work.
             if let Some(env) = sampling {
                 let cfg = sampling_config_for(job.steps, env);
                 let plan = SamplingPlan::build(trace, job.steps, &cfg);
-                let replayed = plan.replayed_steps() as u64;
                 let (stats, snapshot) = match tc {
                     None => (
                         w.run_sampled_trace(job.config.clone(), trace, &plan, None),
@@ -698,46 +763,59 @@ impl Sweep {
                         (stats, Some(snap))
                     }
                 };
-                return (stats, snapshot, replayed);
+                return (stats, snapshot, Some(plan));
             }
             match tc {
                 None => (
                     w.run_trace(job.config.clone(), trace, job.steps),
                     None,
-                    job.steps as u64,
+                    None,
                 ),
                 Some(tc) => {
                     let (stats, snapshot) =
                         w.run_instrumented_trace(job.config.clone(), trace, job.steps, Some(tc));
-                    (stats, Some(snapshot), job.steps as u64)
+                    (stats, Some(snapshot), None)
                 }
             }
         });
         if !self.quiet && std::env::var("SKIA_VERBOSE").is_ok() {
-            for (i, (t, job)) in timed.iter().zip(&self.jobs).enumerate() {
+            for (i, (job, &g)) in self.jobs.iter().zip(&group).enumerate() {
                 eprintln!(
-                    "sweep[{i}]: {} {} steps in {:.3}s",
+                    "sweep[{i}]: {} {} steps in {:.3}s{}",
                     job.bench,
                     job.steps,
-                    t.wall.as_secs_f64()
+                    timed[g].wall.as_secs_f64(),
+                    if std::ptr::eq(job, leaders[g]) {
+                        ""
+                    } else {
+                        " (deduplicated)"
+                    }
                 );
             }
         }
-        SIM_TOTALS.steps.fetch_add(
-            timed.iter().map(|t| t.value.2).sum::<u64>(),
-            Ordering::Relaxed,
-        );
         SIM_TOTALS.busy_micros.fetch_add(
             timed.iter().map(|t| t.wall.as_micros() as u64).sum::<u64>(),
             Ordering::Relaxed,
         );
-        let mut out = Vec::with_capacity(timed.len());
-        for t in timed {
-            let (stats, snapshot, _) = t.value;
-            if let Some(snapshot) = &snapshot {
+        let mut out = Vec::with_capacity(self.jobs.len());
+        for (job, &g) in self.jobs.iter().zip(&group) {
+            let (stats, snapshot, plan) = &timed[g].value;
+            // Totals count every job's delivered steps (and sampled plan),
+            // deduplicated or not, so they are independent of the dedup.
+            let steps = match plan {
+                Some(plan) => {
+                    if !std::ptr::eq(job, leaders[g]) {
+                        SAMPLING_TOTALS.note_plan(plan);
+                    }
+                    plan.replayed_steps() as u64
+                }
+                None => job.steps as u64,
+            };
+            SIM_TOTALS.steps.fetch_add(steps, Ordering::Relaxed);
+            if let Some(snapshot) = snapshot {
                 emitter.record(snapshot);
             }
-            out.push(stats);
+            out.push(stats.clone());
         }
         if !self.quiet && report.runs > 0 {
             eprintln!("sweep: {}", report.summary());
@@ -842,6 +920,10 @@ impl JsonEmitter {
         let sim_steps = SIM_TOTALS.steps.load(Ordering::Relaxed);
         let busy = SIM_TOTALS.busy_micros.load(Ordering::Relaxed) as f64 / 1e6;
         c.insert("sim.steps_total".into(), sim_steps);
+        c.insert(
+            "sweep.dedup_hits".into(),
+            SWEEP_DEDUP_HITS.load(Ordering::Relaxed),
+        );
         self.merged.gauges.insert("sim.busy_seconds".into(), busy);
         if busy > 0.0 {
             self.merged
@@ -1002,6 +1084,15 @@ mod tests {
         assert!(parse(&["--emit-json"]).is_err(), "missing value");
         assert!(parse(&["--emit-json="]).is_err(), "empty value");
         assert!(parse(&["stray"]).is_err(), "positional without names mode");
+    }
+
+    #[test]
+    fn steps_knob_accepts_only_positive_integers() {
+        assert_eq!(parse_steps("2000"), Ok(2000));
+        for junk in ["junk", "0", "", "-5", "1e5", " 2000"] {
+            let err = parse_steps(junk).expect_err(junk);
+            assert!(err.contains("SKIA_STEPS"), "{err}");
+        }
     }
 
     #[test]

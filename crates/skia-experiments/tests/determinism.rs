@@ -137,3 +137,64 @@ fn recorded_trace_memo_shares_and_upgrades() {
     // The upgrade preserves the walk: the old recording is a prefix.
     assert_eq!(long.prefix(short.len()), (*short).clone());
 }
+
+/// Jobs repeating a (bench, config, steps) key are simulated once per
+/// sweep and handed copies of that result: every job, repeated or not,
+/// must equal its own direct replay, and the sweep must report the
+/// repeats as dedup hits (per sweep, and in the emitted counters).
+#[test]
+fn repeated_job_keys_simulate_once_and_match_direct_replays() {
+    let keys = [
+        ("tpcc", StandingConfig::Btb(8192)),
+        ("voter", StandingConfig::BtbPlusSkia(8192)),
+        ("tpcc", StandingConfig::BtbPlusSkia(8192)),
+        ("tpcc", StandingConfig::Btb(8192)),
+        ("voter", StandingConfig::BtbPlusSkia(8192)),
+        ("tpcc", StandingConfig::Btb(8192)),
+    ];
+    let mut sweep = Sweep::new(2).quiet();
+    for (name, config) in keys {
+        sweep.add(name, config.frontend(), STEPS);
+    }
+    // A different step count is a different key.
+    sweep.add("tpcc", StandingConfig::Btb(8192).frontend(), STEPS / 2);
+    assert_eq!(sweep.dedup_hits(), 3);
+
+    let dir = std::env::temp_dir().join(format!("skia-dedup-{}", std::process::id()));
+    let path = dir.join("dedup.json");
+    let mut emitter = skia_experiments::Args {
+        emit_json: Some(path.clone()),
+        ..Default::default()
+    }
+    .emitter();
+    let swept = sweep.run(&mut emitter);
+    emitter.finish();
+
+    let direct: Vec<_> = keys
+        .iter()
+        .map(|&(name, config)| (name, config, STEPS))
+        .chain([("tpcc", StandingConfig::Btb(8192), STEPS / 2)])
+        .map(|(name, config, steps)| {
+            let trace = skia_experiments::recorded_trace(name, steps);
+            skia_experiments::workload(name).run_trace(config.frontend(), &trace, steps)
+        })
+        .collect();
+    assert_eq!(
+        swept, direct,
+        "deduplicated sweep diverged from direct replays"
+    );
+
+    let snap = skia_telemetry::Snapshot::from_json_str(
+        &std::fs::read_to_string(&path).expect("emitted snapshot"),
+    )
+    .expect("valid snapshot");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(
+        snap.counter("emit.runs_merged"),
+        Some(7),
+        "one merge per job"
+    );
+    // The counter is process-wide, and other tests in this binary sweep
+    // concurrently without repeats, so it is at least this sweep's hits.
+    assert!(snap.counter("sweep.dedup_hits").is_some_and(|n| n >= 3));
+}

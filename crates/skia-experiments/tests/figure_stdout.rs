@@ -87,3 +87,27 @@ fn figures_match_golden_serial() {
 fn figures_match_golden_threaded_odd_chunk() {
     assert_matches_golden("4", Some("257"));
 }
+
+/// A junk step budget is fatal, like an unknown flag: the binary exits
+/// with an error naming the variable and its value instead of silently
+/// running the 400k-step default.
+#[test]
+fn junk_step_budget_fails_loudly() {
+    for junk in ["junk", "0"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_fig01"))
+            .env("SKIA_STEPS", junk)
+            .env("SKIA_CACHE", "0")
+            .output()
+            .expect("fig01 spawns");
+        assert_eq!(out.status.code(), Some(2), "SKIA_STEPS={junk}");
+        assert!(
+            out.stdout.is_empty(),
+            "no table printed for SKIA_STEPS={junk}"
+        );
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("SKIA_STEPS=\"{junk}\"")),
+            "error names the variable and value: {err}"
+        );
+    }
+}

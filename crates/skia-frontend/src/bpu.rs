@@ -12,7 +12,7 @@
 //! exact repair (see the crate docs for the modeling note).
 
 use skia_core::Skia;
-use skia_isa::BranchKind;
+use skia_isa::{BranchKind, CACHE_LINE_BYTES};
 use skia_uarch::btb::{Btb, IdealBtb};
 use skia_uarch::ittage::Ittage;
 use skia_uarch::ras::ReturnAddressStack;
@@ -20,6 +20,9 @@ use skia_uarch::tage::{Tage, TagePrediction};
 use skia_workloads::{BranchTable, Program};
 
 use crate::config::{BtbMode, FrontendConfig};
+
+/// Line-base mask for shadow-decode line addressing.
+const LINE_MASK: u64 = !(CACHE_LINE_BYTES as u64 - 1);
 
 /// Finite or infinite BTB behind one interface.
 #[derive(Debug, Clone)]
@@ -131,7 +134,7 @@ impl<'p> Bpu<'p> {
         Bpu {
             btb,
             table,
-            skia: config.skia.map(Skia::new),
+            skia: config.skia.map(|c| Skia::with_dense_span(c, table.span())),
             tage: Tage::new(config.tage.clone()),
             ittage: Ittage::new(
                 config.ittage.tables,
@@ -363,12 +366,18 @@ impl<'p> Bpu<'p> {
         let known = |pc: u64| filter && btb.probe(pc).is_some();
         let mut inserted = 0;
         // Head region: the line containing the block's entry point, when the
-        // block was entered via a taken branch mid-line.
+        // block was entered via a taken branch mid-line. Line bytes are
+        // copied out of the program only when the decoder's memo misses.
         if block.entered_by_branch {
-            let entry_offset = (block.start % 64) as usize;
+            let line_base = block.start & LINE_MASK;
+            let entry_offset = (block.start - line_base) as usize;
             if entry_offset != 0 {
-                let (line_base, line) = program.line(block.start);
-                inserted += skia.on_line_entered_filtered(&line, line_base, entry_offset, known);
+                inserted += skia.on_line_entered_filtered(
+                    line_base,
+                    entry_offset,
+                    || program.line(line_base).1,
+                    known,
+                );
             }
         }
         // Tail region: the line containing the taken branch's last byte,
@@ -376,10 +385,15 @@ impl<'p> Bpu<'p> {
         if let Some(b) = &block.branch {
             if b.taken {
                 let end = b.pc + u64::from(b.len);
-                let (line_base, line) = program.line(end.saturating_sub(1));
+                let line_base = end.saturating_sub(1) & LINE_MASK;
                 let exit_offset = (end - line_base) as usize;
-                if exit_offset < line.len() {
-                    inserted += skia.on_line_exited_filtered(&line, line_base, exit_offset, known);
+                if exit_offset < CACHE_LINE_BYTES {
+                    inserted += skia.on_line_exited_filtered(
+                        line_base,
+                        exit_offset,
+                        || program.line(line_base).1,
+                        known,
+                    );
                 }
             }
         }

@@ -240,8 +240,11 @@ impl RefSbb {
         }
     }
 
+    /// Drop `pc` from the key list once neither half holds it.
     fn key_remove(&mut self, pc: u64) {
-        self.keys.retain(|&k| k != pc);
+        if self.probe(pc).is_none() {
+            self.keys.retain(|&k| k != pc);
+        }
     }
 }
 

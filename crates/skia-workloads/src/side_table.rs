@@ -118,6 +118,13 @@ impl BranchTable {
         self.pcs.is_empty()
     }
 
+    /// The covered address span: line-aligned, from the first branch's
+    /// line to just past the last branch's line (empty when no branches).
+    #[must_use]
+    pub fn span(&self) -> std::ops::Range<u64> {
+        self.span_base..self.span_end
+    }
+
     /// Index of the first branch with `pc >= addr` (== `len()` when none).
     /// O(1): one dense line lookup plus a within-line advance.
     fn start_index(&self, addr: u64) -> usize {
