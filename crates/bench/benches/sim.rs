@@ -1,12 +1,9 @@
 //! Simulate-phase throughput and span-layer overhead.
 //!
-//! `sim_batched_20k` is the raw number behind the manifest's
-//! `sim.steps_per_sec`: one `Simulator::run_batched` over a pre-recorded
-//! trace (the sweep simulate-phase hot path — no walker, no RNG, no cache).
-//! `sim_per_step_20k` drives the same trace through the per-step kernel
-//! (`Simulator::run` over a replay iterator, formerly `replay_simulate_20k`)
-//! — the pair quantifies what batching buys, and the equivalence suites pin
-//! the two to identical results. The span benchmarks bound the
+//! `sim_run_20k` is the raw number behind the manifest's
+//! `sim.steps_per_sec`: one `Simulator::run` over a window of a
+//! pre-recorded trace (the sweep simulate-phase hot path — no walker, no
+//! RNG, no cache). The span benchmarks bound the
 //! observability tax: a disabled span must cost about one atomic load (no
 //! allocation, no clock read), an enabled span one clock pair plus a
 //! bounded collector push. `BENCH_sim.json` records the measured numbers.
@@ -23,18 +20,10 @@ fn replay_simulate(c: &mut Criterion) {
     let (program, seed, trip) = bench_workload();
     let trace = RecordedTrace::record(&program, seed, trip, STEPS);
 
-    c.bench_function("sim_per_step_20k", |b| {
+    c.bench_function("sim_run_20k", |b| {
         b.iter(|| {
             let mut sim = Simulator::new(&program, FrontendConfig::alder_lake_with_skia());
-            sim.run(trace.replay().take(STEPS)).cycles
-        })
-    });
-
-    c.bench_function("sim_batched_20k", |b| {
-        b.iter(|| {
-            let mut sim = Simulator::new(&program, FrontendConfig::alder_lake_with_skia());
-            sim.run_batched(&trace, STEPS, skia_runner::DEFAULT_CHUNK)
-                .cycles
+            sim.run(trace.window(0, STEPS)).cycles
         })
     });
 
@@ -42,12 +31,11 @@ fn replay_simulate(c: &mut Criterion) {
     // the row above is the per-span cost at simulation granularity
     // (invisible).
     set_spans_enabled(true);
-    c.bench_function("sim_batched_20k_spanned", |b| {
+    c.bench_function("sim_run_20k_spanned", |b| {
         b.iter(|| {
             let _g = span("bench.sim");
             let mut sim = Simulator::new(&program, FrontendConfig::alder_lake_with_skia());
-            sim.run_batched(&trace, STEPS, skia_runner::DEFAULT_CHUNK)
-                .cycles
+            sim.run(trace.window(0, STEPS)).cycles
         })
     });
     set_spans_enabled(false);

@@ -323,7 +323,7 @@ impl ShadowDecoder {
     /// Runs Index Computation + Path Validation and extracts branches from
     /// the path selected by the [`IndexPolicy`]. `line` supplies the line's
     /// bytes and is called only when the memo misses (debug builds call it
-    /// every time to key on content; see [`MemoKey`]). A memo hit replays
+    /// every time to key on content; see the private `MemoKey`). A memo hit replays
     /// the stat increments a fresh decode would make, so counters are
     /// identical with and without the memo.
     pub fn head<L: AsRef<[u8]>>(

@@ -3,7 +3,7 @@
 //!
 //! Not a paper figure — the development/CI tool behind the phase-sampling
 //! acceptance criteria. For each figure workload it replays the recorded
-//! trace twice — full batched replay, then the default sampling plan — and
+//! trace twice — full replay, then the default sampling plan — and
 //! prints per-workload wall times, the realized compression, and the
 //! relative error of every pinned and informational counter. With
 //! `--write-pins` it rewrites `ci/sampling-error-pins.json` from the same

@@ -5,7 +5,7 @@
 //! the contract that makes sampled numbers usable:
 //!
 //! 1. **Identity**: the degenerate plan (one zero-warmup slice covering the
-//!    whole trace, weight 1) reproduces the full batched run's [`SimStats`]
+//!    whole trace, weight 1) reproduces the full run's [`SimStats`]
 //!    **byte-exactly** — across random layouts, seeds and lengths
 //!    (proptest) and across every standing processor configuration. The
 //!    estimator's integer scaling, the warmup baseline subtraction and the
@@ -27,9 +27,8 @@ use skia_experiments::StandingConfig;
 use skia_frontend::{FrontendConfig, SampleFault, SimStats, Simulator};
 use skia_workloads::{Layout, Program, ProgramSpec, RecordedTrace, SamplingConfig, SamplingPlan};
 
-/// A small program with both layouts' feature mix — the
-/// `batched_equivalence` substrate, reused so failures reduce to the same
-/// `(spec, config, steps)` triples.
+/// A small program with both layouts' feature mix (dispatch, loops,
+/// bursts), so failures reduce to small `(spec, config, steps)` triples.
 fn small_spec(seed: u64, bolted: bool) -> ProgramSpec {
     ProgramSpec {
         seed,
@@ -81,7 +80,7 @@ fn bounded_scenario() -> (Program, RecordedTrace, SamplingPlan) {
     (program, recorded, plan)
 }
 
-/// Full-replay reference through the batched kernel (the production path).
+/// Full-replay reference through `Simulator::run` (the production path).
 fn full(
     program: &Program,
     config: &FrontendConfig,
@@ -89,7 +88,7 @@ fn full(
     steps: usize,
 ) -> SimStats {
     let mut sim = Simulator::new(program, config.clone());
-    sim.run_batched(trace, steps, 512)
+    sim.run(trace.window(0, steps))
 }
 
 /// Sampled estimate through the plan runner.
@@ -100,7 +99,7 @@ fn sampled(
     plan: &SamplingPlan,
     fault: Option<SampleFault>,
 ) -> SimStats {
-    skia_frontend::run_plan(program, config, trace, plan, 512, fault)
+    skia_frontend::run_plan(program, config, trace, plan, fault)
 }
 
 /// Relative error of an estimate against the full-run truth. Exact-zero
@@ -287,7 +286,6 @@ proptest! {
         bolted in any::<bool>(),
         with_skia in any::<bool>(),
         steps in 1usize..1200,
-        chunk in 1usize..1500,
     ) {
         let program = Program::generate(&small_spec(prog_seed, bolted));
         let recorded = RecordedTrace::record(&program, walk_seed, 6, steps);
@@ -296,10 +294,10 @@ proptest! {
             config.skia = Some(skia_core::SkiaConfig::default());
         }
         let mut sim = Simulator::new(&program, config.clone());
-        let reference = sim.run_batched(&recorded, steps, chunk);
+        let reference = sim.run(recorded.window(0, steps));
         let plan = SamplingPlan::degenerate(steps);
         prop_assert!(plan.is_degenerate());
-        let got = skia_frontend::run_plan(&program, &config, &recorded, &plan, chunk, None);
-        prop_assert_eq!(got, reference, "steps={} chunk={}", steps, chunk);
+        let got = skia_frontend::run_plan(&program, &config, &recorded, &plan, None);
+        prop_assert_eq!(got, reference, "steps={}", steps);
     }
 }

@@ -9,11 +9,11 @@
 //! actually formed and their lines actually prefetched, so L1-I pollution by
 //! wrong-path FDIP traffic is mechanistic.
 //!
-//! Every counter lives in a [`MetricRegistry`] owned by the simulator; the
-//! hot path increments plain-cell [`skia_telemetry::Counter`] handles (see
-//! [`crate::telemetry`]) and [`SimStats`] is materialized from the registry
-//! on demand, so the legacy stats struct and the exported snapshot are the
-//! same numbers by construction.
+//! There is one replay path, [`Simulator::run`]. The hot path counts into a
+//! plain [`SimStats`] and three local histograms; [`Simulator::snapshot`]
+//! writes them into the simulator's [`MetricRegistry`] through
+//! [`SimStats::register_into`] (see [`crate::telemetry`]), so the returned
+//! stats and the exported snapshot are the same numbers by construction.
 
 use std::collections::VecDeque;
 
@@ -25,24 +25,12 @@ use skia_workloads::{Program, RecordedTrace, SliceJob, TraceStep};
 use crate::bpu::{Bpu, PredictedBlock};
 use crate::config::FrontendConfig;
 use crate::stats::{ResteerCause, ResteerStage, SimStats};
-use crate::telemetry::{FrontendTelemetry, SimAccum};
-
-/// Deliberate batched-kernel bugs, plantable via
-/// [`Simulator::plant_batch_fault`] to prove the byte-exact equivalence
-/// gates actually detect batching mistakes (the same discipline as
-/// `skia-oracle`'s `OracleFault` knobs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchFault {
-    /// Drain the per-chunk telemetry accumulator twice at every chunk
-    /// boundary, double-counting every pending delta — the classic
-    /// accumulator-lifecycle bug a batched kernel can introduce.
-    DoubleFlush,
-}
+use crate::telemetry::{FrontendTelemetry, SimHistograms};
 
 /// Deliberate sampled-replay bugs, passable to
 /// [`Simulator::run_slice`] to prove the sampled-vs-full error-bound
-/// harness actually detects a broken sampling pipeline (the [`BatchFault`]
-/// discipline applied to phase sampling).
+/// harness actually detects a broken sampling pipeline (the same
+/// discipline as `skia-oracle`'s `OracleFault` knobs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SampleFault {
     /// Skip the warmup replay entirely: every measured window starts from
@@ -55,10 +43,10 @@ pub enum SampleFault {
 /// Cumulative state captured at the warmup/measure boundary of a sampled
 /// slice. A plan's slices replay through **one** simulator in trace order
 /// (state carryover — see [`crate::sampling::run_plan`]), so at a boundary
-/// every counter — registry cells, cache hierarchy, Skia — already holds
-/// the earlier slices' measured work plus this slice's (muted-but-state-
-/// changing) warmup. The whole cumulative picture is baselined here and
-/// subtracted after the measure, leaving exactly the measured window.
+/// every counter — the simulator's own, cache hierarchy, Skia — already
+/// holds the earlier slices' work plus this slice's warmup. The whole
+/// cumulative picture is baselined here and subtracted after the measure,
+/// leaving exactly the measured window.
 #[derive(Debug, Clone)]
 struct MeasureBase {
     /// `decode_free` at measure start (the slice-local cycle origin).
@@ -133,11 +121,10 @@ pub struct Simulator<'p> {
     hier: Hierarchy,
     registry: MetricRegistry,
     tel: FrontendTelemetry,
-    /// Hot-path metric deltas, drained into `tel` whenever stats are
-    /// observed (finalize/stats/snapshot) and at batch boundaries.
-    acc: SimAccum,
-    /// Planted batched-kernel bug, if any (test harness only).
-    batch_fault: Option<BatchFault>,
+    /// The simulator's own counters. The cache, Skia and FTQ-mean fields
+    /// stay at their defaults here; [`Simulator::stats`] fills them in.
+    counts: SimStats,
+    hist: SimHistograms,
     iag_cycle: u64,
     decode_free: u64,
     /// Decode-completion times of in-flight FTQ entries.
@@ -166,8 +153,8 @@ impl<'p> Simulator<'p> {
             config,
             registry,
             tel,
-            acc: SimAccum::default(),
-            batch_fault: None,
+            counts: SimStats::default(),
+            hist: SimHistograms::default(),
             iag_cycle: 0,
             decode_free: 0,
             ftq: VecDeque::new(),
@@ -196,50 +183,14 @@ impl<'p> Simulator<'p> {
         self.finalize()
     }
 
-    /// Replay the first `steps` steps of a recorded trace through the
-    /// batched kernel and return the statistics.
-    ///
-    /// Steps are consumed chunk-by-chunk straight from the trace's columns
-    /// ([`RecordedTrace::chunks`]); the per-step telemetry accumulator is
-    /// drained once per chunk boundary instead of once at finalization.
-    /// Both differences are exact — the chunk concatenation is bit-identical
-    /// to `replay().take(steps)` and the accumulator drain commutes — so
-    /// the result equals [`Simulator::run`] over the same stream byte for
-    /// byte. The `batched_equivalence` suite and the oracle lockstep
-    /// harness enforce that equality; [`Simulator::plant_batch_fault`]
-    /// proves they can tell when it breaks.
-    ///
-    /// The per-step [`Simulator::run`] stays the entry point for
-    /// oracle-lockstep (which compares full stats after every step) and
-    /// live-walk iterators; sweeps over recorded traces use this path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_size` is 0 or the recording is shorter than
-    /// `steps`.
-    pub fn run_batched(
-        &mut self,
-        trace: &RecordedTrace,
-        steps: usize,
-        chunk_size: usize,
-    ) -> SimStats {
-        for chunk in trace.chunks(steps, chunk_size) {
-            for step in chunk {
-                self.replay_step(&step);
-            }
-            self.flush_chunk();
-        }
-        self.finalize()
-    }
-
     /// Replay one sampling slice — warmup-then-measure — and return the
     /// statistics of the *measured window only*.
     ///
     /// The warmup window `[skip, skip+warmup)` replays through the normal
-    /// per-step path but is **muted**: its telemetry deltas are discarded
-    /// (never flushed) while its architectural effect — trained predictors,
-    /// filled caches, a populated SBB — persists into the measured window,
-    /// which is the whole point of warmup.
+    /// per-step path. Its counts are excluded from the result by the
+    /// measure-boundary baseline, while its architectural effect — trained
+    /// predictors, filled caches, a populated SBB — persists into the
+    /// measured window, which is the whole point of warmup.
     ///
     /// Slices of one plan run through **one** simulator in trace order
     /// (state carryover): the working set a slice accumulates in the BTB,
@@ -254,23 +205,21 @@ impl<'p> Simulator<'p> {
     /// the cycle ledger is re-originated at the boundary the same way.
     ///
     /// Called with the degenerate slice (`skip = warmup = 0`, `simulate =
-    /// steps`) on a fresh simulator this is [`Simulator::run_batched`] byte
-    /// for byte: same chunk cadence, same finalization arithmetic against
-    /// an all-zero baseline. The `sampled_vs_full` proptest pins that
-    /// equality.
+    /// steps`) on a fresh simulator this is [`Simulator::run`] over
+    /// `trace.window(0, steps)` byte for byte: same steps, same
+    /// finalization arithmetic against an all-zero baseline. The
+    /// `sampled_vs_full` proptest pins that equality.
     ///
     /// `fault` plants a deliberate sampling bug (see [`SampleFault`]);
     /// production runners pass `None`.
     ///
     /// # Panics
     ///
-    /// Panics if `chunk_size` is 0 or the slice's measure window extends
-    /// past the recording.
+    /// Panics if the slice's measure window extends past the recording.
     pub fn run_slice(
         &mut self,
         trace: &RecordedTrace,
         slice: &SliceJob,
-        chunk_size: usize,
         fault: Option<SampleFault>,
     ) -> SimStats {
         let measure_start = slice.measure_start();
@@ -297,19 +246,14 @@ impl<'p> Simulator<'p> {
         for step in trace.window(warm_lo, measure_start) {
             self.replay_step(&step);
         }
-        // Mute the warmup: drop its pending deltas instead of flushing.
-        self.acc = SimAccum::default();
         let base = MeasureBase {
             cycle_base: self.decode_free,
-            ftq_sum: self.tel.ftq_occupancy.sum(),
-            ftq_count: self.tel.ftq_occupancy.count(),
+            ftq_sum: self.hist.ftq_occupancy.sum(),
+            ftq_count: self.hist.ftq_occupancy.count(),
             prior: self.stats(),
         };
-        for chunk in trace.chunks_range(measure_start, slice.measure_end(), chunk_size) {
-            for step in chunk {
-                self.replay_step(&step);
-            }
-            self.flush_chunk();
+        for step in trace.window(measure_start, slice.measure_end()) {
+            self.replay_step(&step);
         }
         self.finalize_measured(&base)
     }
@@ -320,7 +264,7 @@ impl<'p> Simulator<'p> {
     /// the histogram's windowed (sum, count) difference. With an all-zero
     /// baseline this is `finalize` exactly.
     fn finalize_measured(&mut self, base: &MeasureBase) -> SimStats {
-        let now = self.stats(); // flushes pending deltas first
+        let now = self.stats();
         let mut stats = crate::sampling::sim_stats_delta(&now, &base.prior);
         let retire_floor = stats
             .instructions
@@ -328,9 +272,9 @@ impl<'p> Simulator<'p> {
         // `decode_free` is monotone, so the subtraction cannot underflow.
         let measured_frontier = self.decode_free - base.cycle_base;
         stats.cycles = measured_frontier.max(retire_floor) + u64::from(self.config.backend_depth);
-        let d_sum = self.tel.ftq_occupancy.sum().wrapping_sub(base.ftq_sum);
-        let d_count = self.tel.ftq_occupancy.count() - base.ftq_count;
-        // Same arithmetic as `HistogramSnapshot::mean`, so the degenerate
+        let d_sum = self.hist.ftq_occupancy.sum().wrapping_sub(base.ftq_sum);
+        let d_count = self.hist.ftq_occupancy.count() - base.ftq_count;
+        // Same arithmetic as `LocalHistogram::mean`, so the degenerate
         // slice (zero base) reproduces the full run's mean bit for bit.
         stats.mean_ftq_occupancy = if d_count == 0 {
             0.0
@@ -340,96 +284,54 @@ impl<'p> Simulator<'p> {
         stats
     }
 
-    /// The shared per-step body of [`Simulator::run`] and
-    /// [`Simulator::run_batched`]: retirement accounting plus lockstep
+    /// The per-step body of [`Simulator::run`] and
+    /// [`Simulator::run_slice`]: retirement accounting plus lockstep
     /// verification of one trace step.
     #[inline]
     fn replay_step(&mut self, step: &TraceStep) {
-        self.acc.branches += 1;
-        self.acc.instructions += u64::from(step.insns);
+        self.counts.branches += 1;
+        self.counts.instructions += u64::from(step.insns);
         if step.taken {
-            self.acc.taken_branches += 1;
+            self.counts.taken_branches += 1;
         }
         self.verify_step(step);
     }
 
-    /// Drain the telemetry accumulator at a batch boundary — and, when a
-    /// [`BatchFault`] is planted, misbehave on purpose first.
-    fn flush_chunk(&mut self) {
-        if self.batch_fault == Some(BatchFault::DoubleFlush) {
-            // Flush a ghost copy of the pending deltas before the real
-            // drain: every pending counter lands twice.
-            let mut ghost = self.acc.clone();
-            ghost.flush_into(&self.tel);
-        }
-        self.acc.flush_into(&self.tel);
-    }
-
-    /// Plant a deliberate batching bug (see [`BatchFault`]). Test-harness
-    /// API: the equivalence and lockstep suites use this to prove they
-    /// detect batched-kernel regressions; production runners never call it.
-    pub fn plant_batch_fault(&mut self, fault: BatchFault) {
-        self.batch_fault = Some(fault);
-    }
-
     fn finalize(&mut self) -> SimStats {
-        self.acc.flush_into(&self.tel);
         let retire_floor = self
-            .tel
-            .c
+            .counts
             .instructions
-            .get()
             .div_ceil(u64::from(self.config.retire_width));
-        let cycles = self.decode_free.max(retire_floor) + u64::from(self.config.backend_depth);
-        self.tel.c.cycles.set(cycles);
+        self.counts.cycles =
+            self.decode_free.max(retire_floor) + u64::from(self.config.backend_depth);
         self.stats()
     }
 
-    /// Materialize the current counters into a [`SimStats`]. `cycles` is 0
-    /// until the run finalizes (as before the registry existed).
+    /// The current statistics. `cycles` is 0 until the run finalizes.
     #[must_use]
-    pub fn stats(&mut self) -> SimStats {
-        self.acc.flush_into(&self.tel);
-        let mut stats = SimStats::default();
-        self.tel.c.materialize_into(&mut stats);
-        for (i, c) in self.tel.btb_miss_by_kind.iter().enumerate() {
-            stats.btb_misses_by_kind[i] = c.get();
+    pub fn stats(&self) -> SimStats {
+        SimStats {
+            l1i: self.hier.l1i_stats(),
+            l2: self.hier.l2_stats(),
+            l3: self.hier.l3_stats(),
+            skia: self.bpu.skia.as_ref().map(|s| s.stats()),
+            mean_ftq_occupancy: self.hist.ftq_occupancy.mean(),
+            ..self.counts.clone()
         }
-        stats.l1i = self.hier.l1i_stats();
-        stats.l2 = self.hier.l2_stats();
-        stats.l3 = self.hier.l3_stats();
-        stats.skia = self.bpu.skia.as_ref().map(|s| s.stats());
-        stats.mean_ftq_occupancy = self.tel.ftq_occupancy.snapshot().mean();
-        stats
     }
 
-    /// Export the pull-model component stats (cache levels, predictors,
-    /// Skia) into the registry and materialize everything into a
-    /// [`Snapshot`] — the `--emit-json` payload.
+    /// Write every counter, the TAGE pull stats and the histograms into the
+    /// registry and materialize it into a [`Snapshot`] — the `--emit-json`
+    /// payload. Values replace the previous snapshot's, so repeated
+    /// snapshots agree.
     #[must_use]
     pub fn snapshot(&mut self) -> Snapshot {
-        self.hier
-            .l1i_stats()
-            .register_into(&mut self.registry, "l1i");
-        self.hier.l2_stats().register_into(&mut self.registry, "l2");
-        self.hier.l3_stats().register_into(&mut self.registry, "l3");
+        self.stats().register_into(&mut self.registry);
         let (tage_preds, tage_miss) = self.bpu.tage_stats();
         self.registry.set_counter("tage.predictions", tage_preds);
         self.registry.set_counter("tage.mispredictions", tage_miss);
-        if let Some(skia) = &self.bpu.skia {
-            skia.stats().register_into(&mut self.registry);
-        }
-        let stats = self.stats();
-        self.registry
-            .set_gauge("sim.mean_ftq_occupancy", stats.mean_ftq_occupancy);
-        self.registry.set_gauge("sim.ipc", stats.ipc());
+        self.hist.register_into(&mut self.registry);
         self.registry.snapshot()
-    }
-
-    /// The metric registry (e.g. to register experiment-level metrics into
-    /// the same snapshot).
-    pub fn registry_mut(&mut self) -> &mut MetricRegistry {
-        &mut self.registry
     }
 
     // -- block formation & timing ------------------------------------------
@@ -445,7 +347,7 @@ impl<'p> Simulator<'p> {
             self.iag_cycle = self.iag_cycle.max(head);
         }
         self.iag_cycle += 1;
-        self.acc.ftq_occupancy.record(self.ftq.len() as u64);
+        self.hist.ftq_occupancy.record(self.ftq.len() as u64);
 
         let block = self.bpu.predict_block();
         self.issue_block(block)
@@ -458,17 +360,17 @@ impl<'p> Simulator<'p> {
         let frontier =
             (self.iag_cycle + u64::from(self.config.fetch_to_decode)).max(self.decode_free);
         if frontier > self.decode_free {
-            self.acc.idle_resteer_cycles += frontier - self.decode_free;
+            self.counts.idle_resteer_cycles += frontier - self.decode_free;
         }
         let decode_start = frontier.max(fill_done);
         if decode_start > frontier {
-            self.acc.idle_icache_cycles += decode_start - frontier;
+            self.counts.idle_icache_cycles += decode_start - frontier;
         }
         let bytes = block.end.saturating_sub(block.start).max(1);
         let decode_cycles = bytes
             .div_ceil(u64::from(self.config.decode_width) * AVG_INSN_BYTES)
             .max(1);
-        self.acc.decode_busy_cycles += decode_cycles;
+        self.counts.decode_busy_cycles += decode_cycles;
         self.decode_free = decode_start + decode_cycles;
         self.ftq.push_back(self.decode_free);
 
@@ -493,7 +395,7 @@ impl<'p> Simulator<'p> {
             skia.set_cycle(self.iag_cycle);
         }
         let inserted = self.bpu.shadow_decode(self.program, block) as u64;
-        self.acc.shadow_batch.record(inserted);
+        self.hist.shadow_batch.record(inserted);
         self.tel.event(
             self.iag_cycle,
             EventKind::ShadowDecode,
@@ -582,7 +484,7 @@ impl<'p> Simulator<'p> {
                     self.commit_aligned(step, &b);
                     if correct {
                         if b.from_sbb {
-                            self.acc.sbb_rescues += 1;
+                            self.counts.sbb_rescues += 1;
                             self.tel
                                 .event(self.iag_cycle, EventKind::SbbRescue, step.branch_pc, 0);
                         }
@@ -595,10 +497,10 @@ impl<'p> Simulator<'p> {
                         ResteerCause::Target
                     };
                     match step.kind {
-                        BranchKind::DirectCond => self.acc.cond_mispredicts += 1,
-                        BranchKind::Return => self.acc.return_mispredicts += 1,
+                        BranchKind::DirectCond => self.counts.cond_mispredicts += 1,
+                        BranchKind::Return => self.counts.return_mispredicts += 1,
                         BranchKind::IndirectJmp | BranchKind::IndirectCall => {
-                            self.acc.indirect_mispredicts += 1;
+                            self.counts.indirect_mispredicts += 1;
                         }
                         _ => {}
                     }
@@ -625,9 +527,9 @@ impl<'p> Simulator<'p> {
 
     fn kind_counters(&mut self, kind: BranchKind) {
         match kind {
-            BranchKind::DirectCond => self.acc.cond_branches += 1,
+            BranchKind::DirectCond => self.counts.cond_branches += 1,
             BranchKind::IndirectJmp | BranchKind::IndirectCall => {
-                self.acc.indirect_branches += 1;
+                self.counts.indirect_branches += 1;
             }
             _ => {}
         }
@@ -671,12 +573,12 @@ impl<'p> Simulator<'p> {
         if self.bpu.btb_resident(step.branch_pc) {
             return;
         }
-        self.acc.btb_misses += 1;
+        self.counts.btb_misses += 1;
         let idx = BranchKind::ALL
             .iter()
             .position(|&k| k == step.kind)
             .expect("kind in table");
-        self.acc.btb_miss_by_kind[idx] += 1;
+        self.counts.btb_misses_by_kind[idx] += 1;
         self.tel.event(
             self.iag_cycle,
             EventKind::BtbMiss,
@@ -684,16 +586,16 @@ impl<'p> Simulator<'p> {
             idx as u64,
         );
         if step.taken {
-            self.acc.btb_miss_taken += 1;
+            self.counts.btb_miss_taken += 1;
             if step.kind.sbb_eligible() {
-                self.acc.btb_miss_rescuable += 1;
+                self.counts.btb_miss_rescuable += 1;
                 if self
                     .bpu
                     .skia
                     .as_ref()
                     .is_some_and(|s| s.ever_inserted(step.branch_pc))
                 {
-                    self.acc.rescuable_seen_before += 1;
+                    self.counts.rescuable_seen_before += 1;
                 }
             }
         }
@@ -704,7 +606,7 @@ impl<'p> Simulator<'p> {
             .find(|&&(a, _)| a == la)
             .map_or_else(|| self.hier.l1i_contains(step.branch_pc), |&(_, r)| r);
         if resident_before {
-            self.acc.btb_miss_l1i_resident += 1;
+            self.counts.btb_miss_l1i_resident += 1;
         }
     }
 
@@ -721,14 +623,14 @@ impl<'p> Simulator<'p> {
                 if self.bpu.ras_top_is(step.next_pc) {
                     ResteerStage::Decode
                 } else {
-                    self.acc.return_mispredicts += 1;
+                    self.counts.return_mispredicts += 1;
                     ResteerStage::Execute
                 }
             }
             // The decoder identifies a conditional; a decode-time late
             // predict rescues it only if TAGE agrees it is taken.
             BranchKind::DirectCond => {
-                self.acc.cond_mispredicts += 1;
+                self.counts.cond_mispredicts += 1;
                 if self.bpu.tage_would_predict(step.branch_pc, true) {
                     ResteerStage::Decode
                 } else {
@@ -740,7 +642,7 @@ impl<'p> Simulator<'p> {
                 if self.bpu.ittage_would_predict(step.branch_pc, step.next_pc) {
                     ResteerStage::Decode
                 } else {
-                    self.acc.indirect_mispredicts += 1;
+                    self.counts.indirect_mispredicts += 1;
                     ResteerStage::Execute
                 }
             }
@@ -759,7 +661,7 @@ impl<'p> Simulator<'p> {
 
     /// The decoder found no branch where the SBB said there was one.
     fn resteer_bogus(&mut self, pending: &InFlight, bogus_pc: u64) {
-        self.acc.bogus_resteers += 1;
+        self.counts.bogus_resteers += 1;
         if let Some(skia) = &mut self.bpu.skia {
             skia.set_cycle(self.iag_cycle);
             skia.note_bogus(bogus_pc);
@@ -789,11 +691,11 @@ impl<'p> Simulator<'p> {
         let _ = cause;
         let detect = match stage {
             ResteerStage::Decode => {
-                self.acc.decode_resteers += 1;
+                self.counts.decode_resteers += 1;
                 pending.decode_start + 1
             }
             ResteerStage::Execute => {
-                self.acc.exec_resteers += 1;
+                self.counts.exec_resteers += 1;
                 pending.decode_start + u64::from(self.config.exec_detect)
             }
         };
@@ -806,8 +708,8 @@ impl<'p> Simulator<'p> {
         for _ in 0..wp_blocks {
             let blk = self.bpu.predict_block();
             let lines = self.prefetch_lines(&blk);
-            self.acc.wrong_path_prefetches += lines.len() as u64;
-            self.acc.wrong_path_blocks += 1;
+            self.counts.wrong_path_prefetches += lines.len() as u64;
+            self.counts.wrong_path_blocks += 1;
             self.shadow_decode(&blk);
         }
 
@@ -823,7 +725,7 @@ impl<'p> Simulator<'p> {
         // The repair bubble: from the mispredicted block's formation to the
         // IAG restart.
         let repair_latency = self.iag_cycle.saturating_sub(pending.iag_cycle);
-        self.acc.resteer_latency.record(repair_latency);
+        self.hist.resteer_latency.record(repair_latency);
         let stage_arg = match stage {
             ResteerStage::Decode => 0,
             ResteerStage::Execute => 1,

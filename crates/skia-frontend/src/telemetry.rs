@@ -1,22 +1,25 @@
 //! Telemetry wiring between the simulator and [`skia_telemetry`].
 //!
-//! The single source of truth for the counter set is the
-//! `for_each_sim_counter!` field↔name table below: it generates the
-//! [`SimCounters`] handle struct, the registration code, and the
-//! [`SimStats`] materialization, so the registry snapshot and the legacy
-//! stats struct can never drift apart. The simulator increments the handles
-//! on its hot path (one `Rc<Cell<u64>>` store each — no locks, no name
-//! lookups) and [`SimStats`] is rebuilt from the registry on demand.
+//! The simulator counts into a plain [`SimStats`] and three
+//! [`LocalHistogram`]s on its hot path. Nothing is shared or flushed while
+//! it runs: [`SimStats::register_into`] (and the crate-private
+//! `SimHistograms::register_into`) write the values into a
+//! [`MetricRegistry`] when a snapshot is taken — the pull model that
+//! `CacheStats` and `SkiaStats` use too.
+//!
+//! The single source of truth for the counter names is the
+//! `for_each_sim_counter!` field↔name table below, so the registry
+//! snapshot and the stats struct can never drift apart.
 
 use skia_isa::BranchKind;
-use skia_telemetry::{Counter, EventKind, EventTrace, Histogram, LocalHistogram, MetricRegistry};
+use skia_telemetry::{EventKind, EventTrace, Histogram, LocalHistogram, MetricRegistry};
 
 use crate::stats::SimStats;
 
 /// Apply a macro to every `(SimStats u64 field, metric name)` pair.
 ///
 /// `cycles` is included even though it is computed (not incremented): the
-/// simulator `set`s it during finalization so the snapshot carries it too.
+/// simulator sets it during finalization so the snapshot carries it too.
 macro_rules! for_each_sim_counter {
     ($apply:ident) => {
         $apply! {
@@ -47,99 +50,42 @@ macro_rules! for_each_sim_counter {
     };
 }
 
-macro_rules! define_sim_counters {
+macro_rules! define_named_counters {
     ($(($field:ident, $name:literal)),+ $(,)?) => {
-        /// One registered [`Counter`] handle per scalar `u64` field of
-        /// [`SimStats`].
-        #[derive(Debug, Clone)]
-        pub struct SimCounters {
-            $(
-                #[doc = concat!("Handle for `", $name, "`.")]
-                pub $field: Counter,
-            )+
-        }
-
-        impl SimCounters {
-            /// The registered metric names, in [`SimStats`] field order.
-            pub const NAMES: &'static [&'static str] = &[$($name),+];
-
-            /// Register (or look up) every counter in `reg`.
-            #[must_use]
-            pub fn register(reg: &mut MetricRegistry) -> Self {
-                SimCounters { $($field: reg.counter($name),)+ }
-            }
-
-            /// Copy the current counter values into the matching
-            /// [`SimStats`] fields.
-            pub fn materialize_into(&self, stats: &mut SimStats) {
-                $(stats.$field = self.$field.get();)+
-            }
-
-            /// Set every counter from the matching [`SimStats`] fields —
-            /// the reverse of [`SimCounters::materialize_into`]. Sampled
-            /// runs use this to rebuild a registry snapshot around an
-            /// estimated stats struct, so `--emit-json` payloads keep one
-            /// shape whether a run was full or sampled.
-            pub fn store_from(&self, stats: &SimStats) {
-                $(self.$field.set(stats.$field);)+
+        impl SimStats {
+            /// Every scalar `u64` counter with its metric name, in table
+            /// order (the per-kind BTB misses are named by
+            /// [`btb_miss_kind_name`]).
+            pub fn named_counters(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$(($name, self.$field)),+].into_iter()
             }
         }
     };
 }
-for_each_sim_counter!(define_sim_counters);
+for_each_sim_counter!(define_named_counters);
 
-macro_rules! define_sim_accum {
-    ($(($field:ident, $name:literal)),+ $(,)?) => {
-        /// Batch-local mirror of every hot-path metric: plain `u64` fields
-        /// instead of `Rc<Cell>` handles and [`LocalHistogram`]s instead of
-        /// shared [`Histogram`]s. The simulator increments this on its hot
-        /// path and [`SimAccum::flush_into`] drains it into the registry
-        /// handles — an exact operation (counter adds commute; histogram
-        /// absorb is record-equivalent), so batching the flush is
-        /// unobservable in [`SimStats`] or any snapshot.
-        ///
-        /// `cycles` is present for macro uniformity but never incremented:
-        /// it is computed and `set` directly at finalization.
-        #[derive(Debug, Clone, Default)]
-        pub struct SimAccum {
-            $(
-                #[doc = concat!("Pending delta for `", $name, "`.")]
-                pub $field: u64,
-            )+
-            /// Pending per-kind BTB-miss deltas ([`BranchKind::ALL`] order).
-            pub btb_miss_by_kind: [u64; 6],
-            /// Pending `ftq.occupancy` records.
-            pub ftq_occupancy: LocalHistogram,
-            /// Pending `resteer.repair_latency` records.
-            pub resteer_latency: LocalHistogram,
-            /// Pending `shadow_decode.batch_size` records.
-            pub shadow_batch: LocalHistogram,
+impl SimStats {
+    /// Write every counter — the scalar table, the per-kind BTB misses,
+    /// the cache levels and Skia — plus the `sim.mean_ftq_occupancy` and
+    /// `sim.ipc` gauges into `reg`. Values are set, not added, so writing
+    /// the same stats twice leaves the registry unchanged.
+    pub fn register_into(&self, reg: &mut MetricRegistry) {
+        for (name, v) in self.named_counters() {
+            reg.set_counter(name, v);
         }
-
-        impl SimAccum {
-            /// Drain every pending delta into the shared handles, leaving
-            /// this accumulator empty.
-            pub fn flush_into(&mut self, tel: &FrontendTelemetry) {
-                $(
-                    if self.$field != 0 {
-                        tel.c.$field.add(self.$field);
-                        self.$field = 0;
-                    }
-                )+
-                for (c, v) in tel.btb_miss_by_kind.iter().zip(&mut self.btb_miss_by_kind) {
-                    if *v != 0 {
-                        c.add(*v);
-                        *v = 0;
-                    }
-                }
-                tel.ftq_occupancy.absorb(&mut self.ftq_occupancy);
-                tel.resteer_latency.absorb(&mut self.resteer_latency);
-                tel.shadow_batch.absorb(&mut self.shadow_batch);
-            }
+        for (&kind, &v) in BranchKind::ALL.iter().zip(&self.btb_misses_by_kind) {
+            reg.set_counter(btb_miss_kind_name(kind), v);
         }
-    };
+        self.l1i.register_into(reg, "l1i");
+        self.l2.register_into(reg, "l2");
+        self.l3.register_into(reg, "l3");
+        if let Some(skia) = &self.skia {
+            skia.register_into(reg);
+        }
+        reg.set_gauge("sim.mean_ftq_occupancy", self.mean_ftq_occupancy);
+        reg.set_gauge("sim.ipc", self.ipc());
+    }
 }
-for_each_sim_counter!(define_sim_accum);
 
 /// Metric name of the per-kind BTB-miss counter for `kind`.
 #[must_use]
@@ -154,22 +100,33 @@ pub fn btb_miss_kind_name(kind: BranchKind) -> &'static str {
     }
 }
 
-/// Every handle the simulator records through: the [`SimCounters`] set, the
-/// per-kind BTB miss breakdown, the four standing histograms, and the
-/// (optional) event trace.
-#[derive(Debug, Clone)]
-pub struct FrontendTelemetry {
-    /// Scalar counters mirroring [`SimStats`].
-    pub c: SimCounters,
-    /// BTB misses by [`BranchKind`] (order of [`BranchKind::ALL`]).
-    pub btb_miss_by_kind: [Counter; 6],
+/// The simulator's three per-block distributions, recorded into plain
+/// accumulators on the hot path.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SimHistograms {
     /// FTQ occupancy sampled at every block formation.
-    pub ftq_occupancy: Histogram,
+    pub(crate) ftq_occupancy: LocalHistogram,
     /// Resteer repair bubble (cycles from the mispredicted block's formation
     /// to the IAG restart).
-    pub resteer_latency: Histogram,
+    pub(crate) resteer_latency: LocalHistogram,
     /// Shadow branches inserted per shadow-decode invocation.
-    pub shadow_batch: Histogram,
+    pub(crate) shadow_batch: LocalHistogram,
+}
+
+impl SimHistograms {
+    /// Overwrite the `ftq.occupancy`, `resteer.repair_latency` and
+    /// `shadow_decode.batch_size` histograms in `reg` with these contents.
+    pub(crate) fn register_into(&self, reg: &mut MetricRegistry) {
+        reg.set_histogram("ftq.occupancy", &self.ftq_occupancy);
+        reg.set_histogram("resteer.repair_latency", &self.resteer_latency);
+        reg.set_histogram("shadow_decode.batch_size", &self.shadow_batch);
+    }
+}
+
+/// The handles `skia-core` and the simulator record through while running:
+/// the SBB-lifetime histogram and the (optional) event trace.
+#[derive(Debug, Clone)]
+pub struct FrontendTelemetry {
     /// SBB entry residency in cycles (closed on eviction/invalidation;
     /// recorded by `skia-core` through its attachment).
     pub sbb_lifetime: Histogram,
@@ -178,16 +135,11 @@ pub struct FrontendTelemetry {
 }
 
 impl FrontendTelemetry {
-    /// Register every frontend metric in `reg`. Tracing starts disabled;
+    /// Register the shared handles in `reg`. Tracing starts disabled;
     /// [`crate::Simulator::enable_trace`] turns it on.
     #[must_use]
     pub fn register(reg: &mut MetricRegistry) -> Self {
         FrontendTelemetry {
-            c: SimCounters::register(reg),
-            btb_miss_by_kind: BranchKind::ALL.map(|k| reg.counter(btb_miss_kind_name(k))),
-            ftq_occupancy: reg.histogram("ftq.occupancy"),
-            resteer_latency: reg.histogram("resteer.repair_latency"),
-            shadow_batch: reg.histogram("shadow_decode.batch_size"),
             sbb_lifetime: reg.histogram("sbb.entry_lifetime"),
             trace: reg.trace(),
         }
@@ -199,50 +151,5 @@ impl FrontendTelemetry {
         if let Some(t) = &self.trace {
             t.record(cycle, kind, pc, arg);
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn names_are_distinct_and_registered() {
-        let mut reg = MetricRegistry::new();
-        let tel = FrontendTelemetry::register(&mut reg);
-        // 23 scalar + 6 per-kind counters, all distinct.
-        assert_eq!(SimCounters::NAMES.len(), 23);
-        assert_eq!(reg.counter_count(), 23 + 6);
-        tel.c.btb_misses.add(3);
-        tel.btb_miss_by_kind[0].inc();
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("btb.misses"), Some(3));
-        assert_eq!(snap.counter("btb.miss_kind.direct_cond"), Some(1));
-        assert!(snap.histogram("ftq.occupancy").is_some());
-    }
-
-    #[test]
-    fn materialize_round_trips_every_field() {
-        let mut reg = MetricRegistry::new();
-        let tel = FrontendTelemetry::register(&mut reg);
-        // Give every counter a distinct value via its registry name.
-        for (i, name) in SimCounters::NAMES.iter().enumerate() {
-            reg.counter(name).set(100 + i as u64);
-        }
-        let mut stats = SimStats::default();
-        tel.c.materialize_into(&mut stats);
-        assert_eq!(stats.instructions, 100);
-        assert_eq!(stats.cycles, 101);
-        assert_eq!(stats.wrong_path_prefetches, 100 + 22);
-        // And the registry snapshot agrees with the struct, name by name.
-        let snap = reg.snapshot();
-        assert_eq!(
-            snap.counter("sim.taken_branches"),
-            Some(stats.taken_branches)
-        );
-        assert_eq!(
-            snap.counter("decode.busy_cycles"),
-            Some(stats.decode_busy_cycles)
-        );
     }
 }

@@ -279,7 +279,7 @@ impl RefIdealBtb {
 ///
 /// The production RAS is a fixed circular buffer with a saturating depth
 /// counter. The two are extensionally equal for the operations the
-/// simulator uses (`push`/`pop`/`peek`; checkpoints are never taken):
+/// simulator uses (`push`/`pop`/`peek`):
 /// overflow overwrites the slot `depth` entries below the top, which is
 /// exactly the oldest *readable* entry — anything deeper was already
 /// unreachable because pops stop at depth 0 — and an underflowing pop

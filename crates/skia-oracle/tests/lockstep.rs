@@ -283,36 +283,6 @@ fn broken_oracle_decoder_faults_are_caught() {
     }
 }
 
-/// The batched-kernel leg of the harness has teeth: a planted accumulator
-/// double-flush at chunk boundaries (a pure batching bug — the oracle and
-/// the per-step production run stay healthy) must be caught by the final
-/// batched-vs-per-step comparison, with a replayable report.
-#[test]
-fn broken_batching_double_flush_is_caught() {
-    let case = DiffCase {
-        spec_seed: 0xBAD,
-        functions: 90,
-        bolted: false,
-        trace_seed: 40,
-        steps: 900,
-        with_skia: true,
-        btb_sets: 4,
-        small_sbb: false,
-    };
-    run_case(&case, None).unwrap_or_else(|report| panic!("healthy batching diverged: {report}"));
-    let report = run_case(&case, Some(OracleFault::BatchDoubleFlush))
-        .expect_err("double-flush fault must diverge");
-    let text = report.to_string();
-    assert!(
-        report.detail.contains("batched kernel mismatch"),
-        "divergence must be attributed to the batched kernel:\n{text}"
-    );
-    assert!(
-        text.contains("SKIA_DIFF_REPLAY") && text.contains(&case.encode()),
-        "report must carry the replay command:\n{text}"
-    );
-}
-
 /// The fault-tag codec round trips for every knob (fuzz replay tokens
 /// embed these tags).
 #[test]

@@ -24,51 +24,44 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Default batched-replay chunk size (steps per chunk). 4k steps keeps the
-/// chunk's column slices and the simulator's accumulator comfortably inside
-/// L2 while amortizing the per-chunk telemetry drain to noise.
-pub const DEFAULT_CHUNK: usize = 4096;
-
-/// Resolve the batched-replay chunk size for sweep jobs.
-///
-/// The `SKIA_CHUNK` environment variable overrides [`DEFAULT_CHUNK`]
-/// (equivalence tests sweep it; results are byte-identical at any value).
-/// Unparsable or zero values warn and fall back to the default.
-#[must_use]
-pub fn chunk_size() -> usize {
-    if let Ok(v) = std::env::var("SKIA_CHUNK") {
-        match v.parse::<usize>() {
-            Ok(n) if n > 0 => return n,
-            _ => eprintln!("warning: SKIA_CHUNK={v} is not a positive integer; using default"),
-        }
-    }
-    DEFAULT_CHUNK
-}
-
 /// Resolve the worker-thread count for a sweep.
 ///
 /// Priority: an explicit `flag` (from `--threads`) wins; otherwise the
 /// `SKIA_THREADS` environment variable; otherwise
-/// [`std::thread::available_parallelism`]. Always at least 1. Unparsable
-/// values fall through to the next source with a warning rather than
-/// silently serializing a sweep.
+/// [`std::thread::available_parallelism`]. Always at least 1.
+///
+/// A set but unusable `SKIA_THREADS` (not a positive integer) exits with
+/// status 2 and an error naming it — the `SKIA_STEPS` rule: a typo must
+/// not silently pick a different thread count.
 #[must_use]
 pub fn thread_count(flag: Option<usize>) -> usize {
     if let Some(n) = flag {
         return n.max(1);
     }
-    if let Ok(v) = std::env::var("SKIA_THREADS") {
-        match v.parse::<usize>() {
-            Ok(n) if n >= 1 => return n,
-            _ => eprintln!("warning: SKIA_THREADS={v} is not a positive integer; using default"),
+    let raw = match std::env::var("SKIA_THREADS") {
+        Err(std::env::VarError::NotPresent) => {
+            return std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
         }
+        Err(std::env::VarError::NotUnicode(v)) => v.to_string_lossy().into_owned(),
+        Ok(v) => v,
+    };
+    parse_threads(&raw).unwrap_or_else(|msg| {
+        eprintln!("error: {msg}");
+        std::process::exit(2);
+    })
+}
+
+/// The testable core of [`thread_count`]'s `SKIA_THREADS` rule.
+fn parse_threads(raw: &str) -> Result<usize, String> {
+    match raw.parse::<usize>() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!("SKIA_THREADS={raw:?}: not a positive integer")),
     }
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 /// Phase-sampling knobs resolved from the environment, dependency-free so
-/// every binary resolves them identically (the `SKIA_CHUNK`/`SKIA_THREADS`
-/// pattern). The sweep engines translate this into a
+/// every binary resolves them identically (the `SKIA_THREADS` pattern).
+/// The sweep engines translate this into a
 /// `skia_workloads::SamplingConfig`; `None` fields mean "use the scaled
 /// default for the run length".
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -80,14 +73,14 @@ pub struct SamplingEnv {
     pub interval: Option<usize>,
     /// `SKIA_SAMPLE_K`: cluster (slice) budget.
     pub k: Option<usize>,
-    /// `SKIA_SAMPLE_WARMUP`: muted warmup steps per slice.
+    /// `SKIA_SAMPLE_WARMUP`: unmeasured warmup steps per slice.
     pub warmup: Option<usize>,
     /// `SKIA_SAMPLE_SEED`: k-means seed.
     pub seed: Option<u64>,
 }
 
 /// Resolve the sampling knobs from `SKIA_SAMPLE*` environment variables.
-/// Unparsable values warn and fall back to the default, like `SKIA_CHUNK`.
+/// Unparsable values warn and fall back to the default.
 #[must_use]
 pub fn sampling_env() -> SamplingEnv {
     SamplingEnv {
@@ -344,6 +337,18 @@ mod tests {
     fn flag_overrides_everything() {
         assert_eq!(thread_count(Some(3)), 3);
         assert_eq!(thread_count(Some(0)), 1, "zero clamps to one");
+    }
+
+    #[test]
+    fn threads_knob_accepts_only_positive_integers() {
+        assert_eq!(parse_threads("4"), Ok(4));
+        for junk in ["junk", "0", "", "-2", " 4"] {
+            let err = parse_threads(junk).expect_err(junk);
+            assert_eq!(
+                err,
+                format!("SKIA_THREADS={junk:?}: not a positive integer")
+            );
+        }
     }
 
     #[test]

@@ -35,129 +35,10 @@ pub fn bucket_index(v: u64) -> usize {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Inner {
-    buckets: [u64; BUCKETS],
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-}
-
-impl Default for Inner {
-    fn default() -> Self {
-        Inner {
-            buckets: [0; BUCKETS],
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-}
-
-/// A shared-handle streaming histogram (see the module docs for the bucket
-/// scheme). Clones share state, like [`crate::Counter`].
-#[derive(Debug, Clone, Default)]
-pub struct Histogram(Rc<RefCell<Inner>>);
-
-impl Histogram {
-    /// A fresh, unregistered histogram (components under test use this;
-    /// simulation code gets handles from [`crate::MetricRegistry`]).
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one measurement.
-    #[inline]
-    pub fn record(&self, v: u64) {
-        let mut h = self.0.borrow_mut();
-        h.buckets[bucket_index(v)] += 1;
-        h.count += 1;
-        h.sum = h.sum.wrapping_add(v);
-        h.min = h.min.min(v);
-        h.max = h.max.max(v);
-    }
-
-    /// Total recorded measurements.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.0.borrow().count
-    }
-
-    /// Wrapping sum of every recorded value. Together with
-    /// [`Histogram::count`] this lets a caller compute the mean of a *window*
-    /// of records by differencing two observations — sampled replay uses
-    /// this for per-slice FTQ occupancy.
-    #[must_use]
-    pub fn sum(&self) -> u64 {
-        self.0.borrow().sum
-    }
-
-    /// Fold another histogram's contents into this one.
-    pub fn merge(&self, other: &Histogram) {
-        if Rc::ptr_eq(&self.0, &other.0) {
-            return; // merging a histogram into itself is a no-op
-        }
-        let o = other.0.borrow();
-        let mut h = self.0.borrow_mut();
-        for (dst, src) in h.buckets.iter_mut().zip(o.buckets.iter()) {
-            *dst += src;
-        }
-        h.count += o.count;
-        h.sum = h.sum.wrapping_add(o.sum);
-        h.min = h.min.min(o.min);
-        h.max = h.max.max(o.max);
-    }
-
-    /// Drain a [`LocalHistogram`]'s contents into this one and reset it.
-    ///
-    /// Byte-exact: the result equals having called [`Histogram::record`]
-    /// directly for every value the local one saw (bucket counts, count, and
-    /// wrapping sum add; min/max fold, with an empty local's `u64::MAX` min
-    /// leaving ours untouched).
-    pub fn absorb(&self, local: &mut LocalHistogram) {
-        if local.count == 0 {
-            return;
-        }
-        let mut h = self.0.borrow_mut();
-        for (dst, src) in h.buckets.iter_mut().zip(local.buckets.iter()) {
-            *dst += src;
-        }
-        h.count += local.count;
-        h.sum = h.sum.wrapping_add(local.sum);
-        h.min = h.min.min(local.min);
-        h.max = h.max.max(local.max);
-        *local = LocalHistogram::new();
-    }
-
-    /// Materialize into an owned, serializable form.
-    #[must_use]
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        let h = self.0.borrow();
-        let buckets = h
-            .buckets
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c > 0)
-            .map(|(i, &c)| (bucket_bounds(i).0, c))
-            .collect();
-        HistogramSnapshot {
-            buckets,
-            count: h.count,
-            sum: h.sum,
-            min: if h.count == 0 { 0 } else { h.min },
-            max: h.max,
-        }
-    }
-}
-
-/// An unshared histogram accumulator: the same bucket scheme as
-/// [`Histogram`] but plain fields — no `Rc`, no `RefCell` borrow per
-/// record. Hot loops record into one of these and periodically drain it
-/// into a shared [`Histogram`] via [`Histogram::absorb`]; the drain is
-/// exact, so batching records this way is unobservable in any snapshot.
+/// An unshared histogram accumulator: the bucket scheme above in plain
+/// fields — no `Rc`, no `RefCell` borrow per record. Hot loops record into
+/// one of these and copy it into a registry histogram with
+/// [`crate::MetricRegistry::set_histogram`] when a snapshot is taken.
 #[derive(Debug, Clone)]
 pub struct LocalHistogram {
     buckets: [u64; BUCKETS],
@@ -196,10 +77,102 @@ impl LocalHistogram {
         self.max = self.max.max(v);
     }
 
-    /// Total recorded measurements since the last drain.
+    /// Total recorded measurements.
     #[must_use]
     pub fn count(&self) -> u64 {
         self.count
+    }
+
+    /// Wrapping sum of every recorded value. Together with
+    /// [`LocalHistogram::count`] this lets a caller compute the mean of a
+    /// *window* of records by differencing two observations — sampled
+    /// replay uses this for per-slice FTQ occupancy.
+    #[must_use]
+    pub fn sum(&self) -> u64 {
+        self.sum
+    }
+
+    /// Mean of the recorded measurements, with the same arithmetic as
+    /// [`HistogramSnapshot::mean`].
+    #[must_use]
+    pub fn mean(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum as f64 / self.count as f64
+        }
+    }
+
+    /// Fold another accumulator's contents into this one.
+    fn merge(&mut self, o: &LocalHistogram) {
+        for (dst, src) in self.buckets.iter_mut().zip(o.buckets.iter()) {
+            *dst += src;
+        }
+        self.count += o.count;
+        self.sum = self.sum.wrapping_add(o.sum);
+        self.min = self.min.min(o.min);
+        self.max = self.max.max(o.max);
+    }
+
+    /// Materialize into an owned, serializable form.
+    #[must_use]
+    pub(crate) fn snapshot(&self) -> HistogramSnapshot {
+        let buckets = self
+            .buckets
+            .iter()
+            .enumerate()
+            .filter(|&(_, &c)| c > 0)
+            .map(|(i, &c)| (bucket_bounds(i).0, c))
+            .collect();
+        HistogramSnapshot {
+            buckets,
+            count: self.count,
+            sum: self.sum,
+            min: if self.count == 0 { 0 } else { self.min },
+            max: self.max,
+        }
+    }
+}
+
+/// A shared-handle streaming histogram (see the module docs for the bucket
+/// scheme). Clones share state, like [`crate::Counter`].
+#[derive(Debug, Clone, Default)]
+pub struct Histogram(Rc<RefCell<LocalHistogram>>);
+
+impl Histogram {
+    /// A fresh, unregistered histogram (components under test use this;
+    /// simulation code gets handles from [`crate::MetricRegistry`]).
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Record one measurement.
+    #[inline]
+    pub fn record(&self, v: u64) {
+        self.0.borrow_mut().record(v);
+    }
+
+    /// Fold another histogram's contents into this one.
+    pub fn merge(&self, other: &Histogram) {
+        if Rc::ptr_eq(&self.0, &other.0) {
+            return; // merging a histogram into itself is a no-op
+        }
+        self.0.borrow_mut().merge(&other.0.borrow());
+    }
+
+    /// Overwrite this histogram with a copy of `local` — the pull-model
+    /// bridge for components that keep a [`LocalHistogram`] and are
+    /// exported at snapshot time. Setting the same contents twice leaves
+    /// the histogram unchanged, so repeated snapshots agree.
+    pub(crate) fn set(&self, local: &LocalHistogram) {
+        self.0.borrow_mut().clone_from(local);
+    }
+
+    /// Materialize into an owned, serializable form.
+    #[must_use]
+    pub fn snapshot(&self) -> HistogramSnapshot {
+        self.0.borrow().snapshot()
     }
 }
 
@@ -305,24 +278,21 @@ mod tests {
     }
 
     #[test]
-    fn absorb_equals_direct_records() {
+    fn set_copies_a_local_histogram_and_is_idempotent() {
         let direct = Histogram::new();
-        let batched = Histogram::new();
         let mut local = LocalHistogram::new();
-        let values = [0u64, 1, 1, 5, 64, 1000, u64::MAX];
-        for (i, &v) in values.iter().enumerate() {
+        for v in [0u64, 1, 1, 5, 64, 1000, u64::MAX] {
             direct.record(v);
             local.record(v);
-            if i % 3 == 2 {
-                batched.absorb(&mut local);
-            }
         }
-        batched.absorb(&mut local);
-        assert_eq!(direct.snapshot(), batched.snapshot());
-        // Drained local is empty again; absorbing it is a no-op.
-        assert_eq!(local.count(), 0);
-        batched.absorb(&mut local);
-        assert_eq!(direct.snapshot(), batched.snapshot());
+        let shared = Histogram::new();
+        shared.record(7); // stale contents are replaced, not added to
+        shared.set(&local);
+        assert_eq!(shared.snapshot(), direct.snapshot());
+        assert_eq!(local.snapshot(), direct.snapshot());
+        shared.set(&local);
+        assert_eq!(shared.snapshot(), direct.snapshot());
+        assert_eq!(local.mean(), direct.snapshot().mean());
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   `trace_event` JSON or JSONL.
 //! * [`Snapshot`] — a serde-serialized materialization of the whole
 //!   registry, written by the experiment binaries' `--emit-json`.
-//! * [`SpanGuard`] — RAII wall-clock span profiling ([`span`] module): a
+//! * [`SpanGuard`] — RAII wall-clock span profiling ([`span`](mod@span) module): a
 //!   process-wide, thread-aware collector of hierarchical begin/end
 //!   records bracketing pipeline phases (sweep prepare/simulate, per-job
 //!   simulation, trace-cache I/O, oracle cases, fuzz rounds). Off by

@@ -4,7 +4,7 @@ use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use crate::histogram::Histogram;
+use crate::histogram::{Histogram, LocalHistogram};
 use crate::snapshot::Snapshot;
 use crate::trace::{EventTrace, TraceConfig};
 
@@ -110,6 +110,11 @@ impl MetricRegistry {
         self.gauge(name).set(v);
     }
 
+    /// Upsert a histogram by name and overwrite it with `local`'s contents.
+    pub fn set_histogram(&mut self, name: &str, local: &LocalHistogram) {
+        self.histogram(name).set(local);
+    }
+
     /// Turn on event tracing; returns the recording handle. Calling again
     /// returns the existing trace.
     pub fn enable_trace(&mut self, config: TraceConfig) -> EventTrace {
@@ -188,9 +193,14 @@ mod tests {
         let mut reg = MetricRegistry::new();
         reg.set_gauge("ipc", 1.75);
         reg.set_counter("l1i.hits", 42);
+        let mut occ = LocalHistogram::new();
+        occ.record(3);
+        reg.set_histogram("occ", &occ);
+        reg.set_histogram("occ", &occ);
         let snap = reg.snapshot();
         assert_eq!(snap.gauges.get("ipc"), Some(&1.75));
         assert_eq!(snap.counter("l1i.hits"), Some(42));
+        assert_eq!(snap.histogram("occ").map(|h| h.count), Some(1));
     }
 
     #[test]

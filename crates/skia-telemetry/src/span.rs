@@ -201,7 +201,7 @@ pub fn drain_spans() -> Vec<SpanRecord> {
     records
 }
 
-/// Records lost to the [`MAX_RECORDS`] bound since process start.
+/// Records lost to the collector bound (2^18 records) since process start.
 #[must_use]
 pub fn spans_dropped() -> u64 {
     DROPPED.load(Ordering::Relaxed)

@@ -3,9 +3,9 @@
 //!
 //! Tagged geometric-history tables store full targets with a 2-bit
 //! confidence counter; a PC-indexed base table catches the monomorphic
-//! majority. Like [`crate::tage::Tage`], history is pushed speculatively and
-//! the frontend repairs it with checkpoints on resteers — ITTAGE shares the
-//! TAGE history discipline, so we reuse the same folded-register scheme.
+//! majority. Like [`crate::tage::Tage`], the frontend trains at commit and
+//! pushes only resolved outcomes into the history — ITTAGE shares the TAGE
+//! history discipline, so we reuse the same folded-register scheme.
 
 /// Folded history register (same arithmetic as in `tage.rs`).
 #[derive(Debug, Clone, Copy)]
@@ -78,13 +78,6 @@ impl ItTable {
     }
 }
 
-/// Rewind token for the speculative history.
-#[derive(Debug, Clone)]
-pub struct IttageCheckpoint {
-    folds: Vec<(u32, u32, u32)>,
-    pos: usize,
-}
-
 /// Training handle recorded at prediction time.
 #[derive(Debug, Clone, Copy)]
 pub struct IttagePrediction {
@@ -153,7 +146,7 @@ impl Ittage {
         self.hist_bits[(self.hist_pos + n - ago) & (n - 1)]
     }
 
-    /// Push one path/direction bit into the speculative history.
+    /// Push one path/direction bit into the history.
     pub fn push_history(&mut self, bit: bool) {
         // Fixed array (≤ 8 tables): this runs once per committed branch and
         // must not heap-allocate.
@@ -169,29 +162,6 @@ impl Ittage {
         let mask = self.hist_bits.len() - 1;
         self.hist_bits[self.hist_pos] = bit;
         self.hist_pos = (self.hist_pos + 1) & mask;
-    }
-
-    /// Capture the speculative history state.
-    #[must_use]
-    pub fn checkpoint(&self) -> IttageCheckpoint {
-        IttageCheckpoint {
-            folds: self
-                .tables
-                .iter()
-                .map(|t| (t.idx_fold.comp, t.tag_fold1.comp, t.tag_fold2.comp))
-                .collect(),
-            pos: self.hist_pos,
-        }
-    }
-
-    /// Rewind to a checkpoint taken earlier on this path.
-    pub fn restore(&mut self, cp: &IttageCheckpoint) {
-        for (t, &(a, b, c)) in self.tables.iter_mut().zip(&cp.folds) {
-            t.idx_fold.comp = a;
-            t.tag_fold1.comp = b;
-            t.tag_fold2.comp = c;
-        }
-        self.hist_pos = cp.pos;
     }
 
     /// Predict the target of the indirect branch at `pc`.
@@ -345,22 +315,5 @@ mod tests {
     fn cold_branch_predicts_none() {
         let it = Ittage::new(2, 6, 16);
         assert_eq!(it.predict(0x1234).target, None);
-    }
-
-    #[test]
-    fn checkpoint_restore_is_exact() {
-        let mut it = Ittage::new(4, 8, 64);
-        for i in 0..40 {
-            it.push_history(i % 5 == 0);
-        }
-        let cp = it.checkpoint();
-        let before = it.predict(0x42);
-        for _ in 0..15 {
-            it.push_history(true);
-        }
-        it.restore(&cp);
-        let after = it.predict(0x42);
-        assert_eq!(before.indices, after.indices);
-        assert_eq!(before.tags, after.tags);
     }
 }

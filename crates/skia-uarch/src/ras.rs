@@ -1,10 +1,8 @@
-//! Return Address Stack with speculative repair.
+//! Return Address Stack.
 //!
-//! The BPU pushes on predicted calls and pops on predicted returns; both
-//! happen speculatively, so a resteer must restore the stack. The classic
-//! low-cost repair (used here) checkpoints the stack pointer plus the entry
-//! that the next push would overwrite, which exactly undoes any single
-//! wrong-path excursion bounded by the checkpoint.
+//! The lockstep front-end pushes on committed calls and pops on committed
+//! returns, so the stack only ever holds true-path return addresses and
+//! needs no wrong-path repair.
 
 /// Fixed-depth circular return address stack.
 #[derive(Debug, Clone)]
@@ -17,14 +15,6 @@ pub struct ReturnAddressStack {
     pushes: u64,
     pops: u64,
     underflows: u64,
-}
-
-/// Repair token for [`ReturnAddressStack`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RasCheckpoint {
-    top: usize,
-    depth: usize,
-    top_value: u64,
 }
 
 impl ReturnAddressStack {
@@ -74,23 +64,6 @@ impl ReturnAddressStack {
         (self.depth > 0).then(|| self.entries[self.top])
     }
 
-    /// Capture repair state (call before speculating past a branch).
-    #[must_use]
-    pub fn checkpoint(&self) -> RasCheckpoint {
-        RasCheckpoint {
-            top: self.top,
-            depth: self.depth,
-            top_value: self.entries[self.top],
-        }
-    }
-
-    /// Undo wrong-path pushes/pops back to `cp`.
-    pub fn restore(&mut self, cp: RasCheckpoint) {
-        self.top = cp.top;
-        self.depth = cp.depth;
-        self.entries[cp.top] = cp.top_value;
-    }
-
     /// Current number of valid entries.
     #[must_use]
     pub fn depth(&self) -> usize {
@@ -131,41 +104,6 @@ mod tests {
         assert_eq!(ras.pop(), Some(2));
         // Depth saturated at 2 so entry "1" is gone.
         assert_eq!(ras.pop(), None);
-    }
-
-    #[test]
-    fn checkpoint_undoes_wrong_path_push() {
-        let mut ras = ReturnAddressStack::new(4);
-        ras.push(0xA);
-        let cp = ras.checkpoint();
-        ras.push(0xBAD); // wrong path call
-        ras.restore(cp);
-        assert_eq!(ras.pop(), Some(0xA));
-    }
-
-    #[test]
-    fn checkpoint_undoes_wrong_path_pop() {
-        let mut ras = ReturnAddressStack::new(4);
-        ras.push(0xA);
-        ras.push(0xB);
-        let cp = ras.checkpoint();
-        assert_eq!(ras.pop(), Some(0xB)); // wrong path return
-        ras.restore(cp);
-        assert_eq!(ras.pop(), Some(0xB));
-        assert_eq!(ras.pop(), Some(0xA));
-    }
-
-    #[test]
-    fn checkpoint_undoes_pop_then_push() {
-        let mut ras = ReturnAddressStack::new(4);
-        ras.push(0xA);
-        ras.push(0xB);
-        let cp = ras.checkpoint();
-        ras.pop();
-        ras.push(0xBAD); // overwrites the slot holding 0xB
-        ras.restore(cp);
-        assert_eq!(ras.pop(), Some(0xB), "top entry repaired from checkpoint");
-        assert_eq!(ras.pop(), Some(0xA));
     }
 
     #[test]

@@ -2,14 +2,12 @@
 //! the TAGE-SC-L predictor the paper uses as its BPU baseline (Seznec,
 //! CBP-5).
 //!
-//! The predictor supports *speculative* operation as required by a decoupled
-//! front-end: global history is pushed at prediction time with the predicted
-//! outcome, and a cheap [`TageCheckpoint`] (folded-history registers + history
-//! position) is taken per prediction so a later resteer can rewind the
-//! predictor to the mispredicted branch and continue on the correct path.
-//! Table updates use the indices/tags recorded in the [`TagePrediction`], so
-//! a delayed (decode/execute-time) update trains exactly the entries that
-//! produced the prediction.
+//! The lockstep front-end trains at commit: it predicts, then calls
+//! [`Tage::update`] with the resolved direction and pushes that direction
+//! into the global history ([`Tage::push_history`]), so the history never
+//! holds a wrong-path bit and needs no checkpoint/restore. Table updates use
+//! the indices/tags recorded in the [`TagePrediction`], so a delayed update
+//! trains exactly the entries that produced the prediction.
 
 /// A folded (compressed) history register, CBP-style.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -200,13 +198,6 @@ pub struct TagePrediction {
     loop_index: usize,
 }
 
-/// Rewind token: folded registers of every table plus the history position.
-#[derive(Debug, Clone)]
-pub struct TageCheckpoint {
-    folds: Vec<(u32, u32, u32)>,
-    pos: usize,
-}
-
 /// The predictor.
 #[derive(Debug, Clone)]
 pub struct Tage {
@@ -344,9 +335,8 @@ impl Tage {
         }
     }
 
-    /// Push one speculative outcome bit into the global history (call once
-    /// per predicted conditional branch, with the *predicted* direction; call
-    /// with the resolved direction after a [`Tage::restore`]).
+    /// Push one outcome bit into the global history (the frontend calls
+    /// this once per committed branch, with the resolved direction).
     pub fn push_history(&mut self, taken: bool) {
         // Compute leaving bits before mutating the buffer. A fixed array —
         // this runs once per committed branch and must not heap-allocate.
@@ -360,29 +350,6 @@ impl Tage {
             t.tag_fold2.update(taken, old);
         }
         self.ghist.push(taken);
-    }
-
-    /// Capture the speculative history state.
-    #[must_use]
-    pub fn checkpoint(&self) -> TageCheckpoint {
-        TageCheckpoint {
-            folds: self
-                .tables
-                .iter()
-                .map(|t| (t.idx_fold.comp, t.tag_fold1.comp, t.tag_fold2.comp))
-                .collect(),
-            pos: self.ghist.pos,
-        }
-    }
-
-    /// Rewind to a checkpoint taken earlier on this path.
-    pub fn restore(&mut self, cp: &TageCheckpoint) {
-        for (t, &(a, b, c)) in self.tables.iter_mut().zip(&cp.folds) {
-            t.idx_fold.comp = a;
-            t.tag_fold1.comp = b;
-            t.tag_fold2.comp = c;
-        }
-        self.ghist.pos = cp.pos;
     }
 
     /// Train the predictor with the resolved direction of a branch predicted
@@ -526,22 +493,19 @@ impl Tage {
 mod tests {
     use super::*;
 
+    /// Predict each outcome of `pattern`, then train and push the resolved
+    /// direction at commit, as `Bpu::commit_branch` does.
     fn run_pattern(tage: &mut Tage, pc: u64, pattern: &[bool], reps: usize) -> (u64, u64) {
         let mut total = 0;
         let mut wrong = 0;
         for _ in 0..reps {
             for &taken in pattern {
-                let cp = tage.checkpoint();
                 let p = tage.predict(pc);
-                tage.push_history(p.taken);
                 if p.taken != taken {
                     wrong += 1;
-                    // Resteer: rewind the speculative history and replay the
-                    // resolved outcome, as the frontend does.
-                    tage.restore(&cp);
-                    tage.push_history(taken);
                 }
                 tage.update(pc, &p, taken);
+                tage.push_history(taken);
                 total += 1;
             }
         }
@@ -577,25 +541,6 @@ mod tests {
             wrong * 5 < total,
             "period-6 pattern should be mostly learned: {wrong}/{total}"
         );
-    }
-
-    #[test]
-    fn checkpoint_restore_roundtrip() {
-        let mut t = Tage::new(TageConfig::small());
-        for i in 0..50 {
-            t.push_history(i % 3 == 0);
-        }
-        let cp = t.checkpoint();
-        let before = t.predict(0xABCD);
-        // Wander down a wrong path.
-        for _ in 0..20 {
-            t.push_history(true);
-        }
-        t.restore(&cp);
-        let after = t.predict(0xABCD);
-        assert_eq!(before.taken, after.taken);
-        assert_eq!(before.indices, after.indices);
-        assert_eq!(before.tags, after.tags);
     }
 
     #[test]

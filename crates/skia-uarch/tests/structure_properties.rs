@@ -4,7 +4,6 @@ use proptest::prelude::*;
 use skia_isa::BranchKind;
 use skia_uarch::btb::{Btb, BtbConfig};
 use skia_uarch::cache::{Cache, CacheConfig};
-use skia_uarch::ras::ReturnAddressStack;
 use skia_uarch::tag_array::TagArray;
 
 proptest! {
@@ -75,32 +74,5 @@ proptest! {
             let pc = u64::from(pc);
             prop_assert_eq!(btb.probe(pc).is_some(), resident.contains(&pc));
         }
-    }
-
-    /// RAS checkpoint/restore always undoes one speculative excursion of
-    /// pushes and pops (bounded by capacity).
-    #[test]
-    fn ras_checkpoint_roundtrip(
-        setup in proptest::collection::vec(any::<u16>(), 0..8),
-        spec_ops in proptest::collection::vec(any::<bool>(), 1..4),
-    ) {
-        let mut ras = ReturnAddressStack::new(16);
-        for &v in &setup {
-            ras.push(u64::from(v));
-        }
-        let before_top = ras.peek();
-        let cp = ras.checkpoint();
-        // A short wrong-path excursion with at most one net overwrite.
-        let mut pushed = false;
-        for &push in &spec_ops {
-            if push && !pushed {
-                ras.push(0xBAD);
-                pushed = true;
-            } else if !push {
-                let _ = ras.pop();
-            }
-        }
-        ras.restore(cp);
-        prop_assert_eq!(ras.peek(), before_top);
     }
 }

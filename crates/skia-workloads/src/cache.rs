@@ -20,7 +20,7 @@
 //!
 //! The serialization is hand-rolled little-endian (the derived indexes are
 //! rebuilt on load, not stored): the format is private to this module and
-//! versioned by [`FORMAT_VERSION`], so it can change freely between
+//! versioned by its `FORMAT_VERSION` constant, so it can change freely between
 //! releases — stale files simply miss.
 
 use std::io::Write as _;

@@ -36,8 +36,8 @@ pub struct SamplingConfig {
     /// Maximum clusters — i.e. maximum simulated slices (clamped to the
     /// interval count; empty clusters are dropped).
     pub k: usize,
-    /// Steps replayed with telemetry muted before each measured window, to
-    /// warm predictors and caches out of the slice's cold start.
+    /// Unmeasured steps replayed before each measured window, to warm
+    /// predictors and caches out of the slice's cold start.
     pub warmup: usize,
     /// Seed of the k-means++ initialization RNG.
     pub seed: u64,
@@ -88,14 +88,14 @@ impl SamplingConfig {
 /// One simulated slice of a [`SamplingPlan`].
 ///
 /// Replay semantics: skip the first `skip` steps entirely, replay the next
-/// `warmup` steps with telemetry muted, then measure the next `simulate`
+/// `warmup` steps without measuring them, then measure the next `simulate`
 /// steps. The measured counters represent `weight_steps` steps of the whole
 /// trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SliceJob {
     /// Steps skipped before the warmup window.
     pub skip: usize,
-    /// Muted warmup steps (`[skip, skip + warmup)`).
+    /// Unmeasured warmup steps (`[skip, skip + warmup)`).
     pub warmup: usize,
     /// Measured steps (`[skip + warmup, skip + warmup + simulate)`).
     pub simulate: usize,
@@ -446,9 +446,9 @@ mod tests {
 
     #[test]
     fn bbv_interval_boundary_on_chunk_boundary() {
-        // 4096 steps at interval 1024: boundaries land exactly on the
-        // batched kernel's chunk granularity and the taken-bitset word
-        // multiples; every interval is full and every step is counted once.
+        // 4096 steps at interval 1024: boundaries land exactly on
+        // taken-bitset word multiples; every interval is full and every
+        // step is counted once.
         let t = trace(4096);
         let bbvs = interval_bbvs(&t, 4096, 1024, 16);
         assert_eq!(bbvs.len(), 4);
@@ -584,13 +584,16 @@ mod tests {
     }
 
     #[test]
-    fn window_matches_skip_take_and_chunks_range_concatenates() {
+    fn window_matches_skip_take_and_split_windows_concatenate() {
         let t = trace(3_000);
         let direct: Vec<_> = t.replay().skip(700).take(800).collect();
         let windowed: Vec<_> = t.window(700, 1_500).collect();
         assert_eq!(direct, windowed);
-        let chunked: Vec<_> = t.chunks_range(700, 1_500, 256).flatten().collect();
-        assert_eq!(direct, chunked);
+        let whole: Vec<_> = t.replay().take(1_500).collect();
+        for k in [0, 1, 63, 64, 700, 1_500] {
+            let split: Vec<_> = t.window(0, k).chain(t.window(k, 1_500)).collect();
+            assert_eq!(split, whole, "split at {k}");
+        }
         assert_eq!(t.window(0, 0).count(), 0);
         assert_eq!(t.window(3_000, 3_000).count(), 0);
     }

@@ -69,23 +69,23 @@ proptest! {
         prop_assert_eq!(long.prefix(short), fresh);
     }
 
-    /// Chunked replay is a pure partition of the step stream: concatenating
-    /// the steps of `chunks(steps, chunk_size)` equals `replay().take(steps)`
-    /// for any chunk size, including sizes around and beyond the length.
+    /// Windowed replay is a pure partition of the step stream: for any
+    /// split `k <= n`, `window(0, k)` followed by `window(k, n)` equals
+    /// `replay().take(n)` — the chaining invariant sampled slices rely on.
     #[test]
-    fn chunks_concatenate_to_the_replay_stream(
+    fn split_windows_concatenate_to_the_replay_stream(
         prog_seed in any::<u64>(),
         walk_seed in any::<u64>(),
         bolted in any::<bool>(),
-        steps in 0usize..900,
-        chunk in 1usize..1100,
+        n in 0usize..900,
+        split in any::<u64>(),
     ) {
         let program = Program::generate(&small_spec(prog_seed, bolted));
         let trace = RecordedTrace::record(&program, walk_seed, 6, 900);
-        let whole: Vec<_> = trace.replay().take(steps).collect();
-        let chunked: Vec<_> = trace.chunks(steps, chunk).flatten().collect();
-        prop_assert_eq!(chunked, whole);
-        prop_assert_eq!(trace.chunks(steps, chunk).count(), steps.div_ceil(chunk));
+        let k = (split % (n as u64 + 1)) as usize;
+        let whole: Vec<_> = trace.replay().take(n).collect();
+        let joined: Vec<_> = trace.window(0, k).chain(trace.window(k, n)).collect();
+        prop_assert_eq!(joined, whole, "split at {} of {}", k, n);
     }
 
     /// RNG isolation: recording a trace mid-walk must not perturb an
@@ -110,33 +110,27 @@ proptest! {
     }
 }
 
-/// Each chunk opens at the walker-chaining invariant's boundary: its first
-/// step's `block_start` equals the previous chunk's final `next_pc`, with no
-/// scan over the skipped prefix. Exercises the edge sizes explicitly.
+/// A window opens at the walker-chaining invariant's boundary without a
+/// scan: `entry_at(k)` is step `k-1`'s `next_pc` (and its taken bit), and
+/// `window(k, ..)`'s first step starts there. Exercises the edge splits
+/// explicitly, including the taken-bitset word boundaries.
 #[test]
-fn chunk_boundaries_chain_without_scanning() {
+fn window_entry_chains_from_the_previous_step() {
     let program = Program::generate(&small_spec(5, false));
     let trace = RecordedTrace::record(&program, 42, 6, 1000);
-    for chunk_size in [1usize, 7, 250, 999, 1000, 1001] {
-        let chunks: Vec<Vec<_>> = trace
-            .chunks(1000, chunk_size)
-            .map(Iterator::collect)
-            .collect();
-        assert_eq!(chunks.len(), 1000usize.div_ceil(chunk_size));
-        for pair in chunks.windows(2) {
-            let prev_last = pair[0].last().expect("chunks are non-empty");
-            let next_first = pair[1].first().expect("chunks are non-empty");
-            assert_eq!(
-                next_first.block_start, prev_last.next_pc,
-                "chunk_size={chunk_size}"
-            );
+    let steps: Vec<_> = trace.replay().collect();
+    assert_eq!(trace.entry_at(0), (steps[0].block_start, true));
+    for k in [1usize, 7, 63, 64, 65, 250, 999, 1000] {
+        let prev = &steps[k - 1];
+        assert_eq!(trace.entry_at(k), (prev.next_pc, prev.taken), "k={k}");
+        if let Some(first) = trace.window(k, 1000).next() {
+            assert_eq!(first.block_start, prev.next_pc, "k={k}");
         }
     }
-    // Degenerate shapes: zero steps yields no chunks; an oversized chunk
-    // yields exactly one covering the whole request.
-    assert_eq!(trace.chunks(0, 64).count(), 0);
-    let all: Vec<_> = trace.chunks(1000, 4096).flatten().collect();
-    assert_eq!(all.len(), 1000);
+    // Degenerate shapes: an empty window yields nothing; the full window
+    // is the whole recording.
+    assert_eq!(trace.window(1000, 1000).count(), 0);
+    assert_eq!(trace.window(0, 1000).count(), 1000);
 }
 
 /// Replaying twice from one recording yields identical streams — replay holds

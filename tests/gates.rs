@@ -57,9 +57,9 @@ fn degenerate_sampling_is_exact_for_btb_plus_skia() {
     let config = FrontendConfig::alder_lake_like()
         .with_btb_entries(8192)
         .with_skia(SkiaConfig::default());
-    let full = Simulator::new(&program, config.clone()).run_batched(&recorded, steps, 512);
+    let full = Simulator::new(&program, config.clone()).run(recorded.window(0, steps));
     let plan = SamplingPlan::degenerate(steps);
-    let sampled = skia_frontend::run_plan(&program, &config, &recorded, &plan, 512, None);
+    let sampled = skia_frontend::run_plan(&program, &config, &recorded, &plan, None);
     assert!(full.skia.is_some_and(|s| s.sbd.head_regions > 0));
     assert_eq!(sampled, full, "degenerate plan must be exact");
 }
