@@ -126,3 +126,30 @@ fn junk_thread_count_fails_loudly() {
         );
     }
 }
+
+/// Junk sampling knobs are fatal by the same rule: a typo must not run a
+/// different plan, or silently run unsampled.
+#[test]
+fn junk_sampling_knob_fails_loudly() {
+    for (name, junk, what) in [
+        ("SKIA_SAMPLE_K", "0", "a positive integer"),
+        ("SKIA_SAMPLE_INTERVAL", "junk", "a positive integer"),
+        ("SKIA_SAMPLE_WARMUP", "-1", "an unsigned integer"),
+        ("SKIA_SAMPLE", "yes", "a boolean"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_fig01"))
+            .env("SKIA_STEPS", "2000")
+            .env("SKIA_CACHE", "0")
+            .env("SKIA_SAMPLE", "1")
+            .env(name, junk)
+            .output()
+            .expect("fig01 spawns");
+        assert_eq!(out.status.code(), Some(2), "{name}={junk}");
+        assert!(out.stdout.is_empty(), "no table printed for {name}={junk}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("error: {name}=\"{junk}\": not {what}")),
+            "error names the variable and value: {err}"
+        );
+    }
+}

@@ -80,55 +80,53 @@ pub struct SamplingEnv {
 }
 
 /// Resolve the sampling knobs from `SKIA_SAMPLE*` environment variables.
-/// Unparsable values warn and fall back to the default.
+///
+/// A set but unusable value exits with status 2 and an error naming it —
+/// the `SKIA_THREADS` rule: a typo must not silently run a different plan
+/// (or silently run unsampled).
 #[must_use]
 pub fn sampling_env() -> SamplingEnv {
-    SamplingEnv {
-        enabled: std::env::var("SKIA_SAMPLE").is_ok_and(|v| env_flag("SKIA_SAMPLE", &v)),
-        interval: env_positive("SKIA_SAMPLE_INTERVAL"),
-        k: env_positive("SKIA_SAMPLE_K"),
-        warmup: std::env::var("SKIA_SAMPLE_WARMUP")
-            .ok()
-            .and_then(|v| parse_or_warn::<usize>("SKIA_SAMPLE_WARMUP", &v)),
-        seed: std::env::var("SKIA_SAMPLE_SEED")
-            .ok()
-            .and_then(|v| parse_or_warn::<u64>("SKIA_SAMPLE_SEED", &v)),
-    }
+    let var = |name: &str| std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+    parse_sampling(var).unwrap_or_else(|msg| {
+        eprintln!("error: {msg}");
+        std::process::exit(2);
+    })
 }
 
-/// `"1"`/`"true"` enable, `"0"`/`""`/`"false"` disable, anything else warns
-/// and disables.
-fn env_flag(name: &str, v: &str) -> bool {
-    match v {
-        "1" | "true" => true,
-        "0" | "" | "false" => false,
-        _ => {
-            eprintln!("warning: {name}={v} is not a boolean; sampling stays off");
-            false
-        }
+/// The testable core of [`sampling_env`]: resolve every knob from `var`
+/// (a variable's raw value, `None` when unset), or name the first junk
+/// one. `SKIA_SAMPLE` is a boolean (`1`/`true`/`on` or `0`/`false`/`off`/
+/// empty); `SKIA_SAMPLE_INTERVAL` and `SKIA_SAMPLE_K` are positive
+/// integers; `SKIA_SAMPLE_WARMUP` (zero allowed) and `SKIA_SAMPLE_SEED` are
+/// unsigned integers.
+fn parse_sampling(var: impl Fn(&str) -> Option<String>) -> Result<SamplingEnv, String> {
+    fn knob<T: std::str::FromStr>(
+        var: &impl Fn(&str) -> Option<String>,
+        name: &str,
+        what: &str,
+        ok: impl Fn(&T) -> bool,
+    ) -> Result<Option<T>, String> {
+        var(name)
+            .map(|raw| match raw.parse::<T>() {
+                Ok(v) if ok(&v) => Ok(v),
+                _ => Err(format!("{name}={raw:?}: not {what}")),
+            })
+            .transpose()
     }
-}
-
-/// Parse an environment variable as a positive integer, warning on junk.
-fn env_positive(name: &str) -> Option<usize> {
-    let v = std::env::var(name).ok()?;
-    match v.parse::<usize>() {
-        Ok(n) if n > 0 => Some(n),
-        _ => {
-            eprintln!("warning: {name}={v} is not a positive integer; using default");
-            None
-        }
-    }
-}
-
-fn parse_or_warn<T: std::str::FromStr>(name: &str, v: &str) -> Option<T> {
-    match v.parse::<T>() {
-        Ok(n) => Some(n),
-        Err(_) => {
-            eprintln!("warning: {name}={v} does not parse; using default");
-            None
-        }
-    }
+    let enabled = match var("SKIA_SAMPLE").as_deref() {
+        None | Some("0" | "" | "false" | "off") => false,
+        Some("1" | "true" | "on") => true,
+        Some(raw) => return Err(format!("SKIA_SAMPLE={raw:?}: not a boolean")),
+    };
+    let positive = "a positive integer";
+    let unsigned = "an unsigned integer";
+    Ok(SamplingEnv {
+        enabled,
+        interval: knob(&var, "SKIA_SAMPLE_INTERVAL", positive, |&n: &usize| n > 0)?,
+        k: knob(&var, "SKIA_SAMPLE_K", positive, |&n: &usize| n > 0)?,
+        warmup: knob(&var, "SKIA_SAMPLE_WARMUP", unsigned, |_: &usize| true)?,
+        seed: knob(&var, "SKIA_SAMPLE_SEED", unsigned, |_: &u64| true)?,
+    })
 }
 
 /// One job's result plus its wall time.
@@ -351,25 +349,63 @@ mod tests {
         }
     }
 
+    /// Resolve the sampling knobs from a fixed variable list (mutating the
+    /// real environment would race other tests in this process).
+    fn sampling(vars: &[(&str, &str)]) -> Result<SamplingEnv, String> {
+        parse_sampling(|name| {
+            vars.iter()
+                .find(|(n, _)| *n == name)
+                .map(|(_, v)| (*v).to_string())
+        })
+    }
+
     #[test]
-    fn sampling_env_parsers() {
-        // Pure parse helpers only — mutating real env vars would race other
-        // tests in this process.
-        assert!(env_flag("X", "1"));
-        assert!(env_flag("X", "true"));
-        assert!(!env_flag("X", "0"));
-        assert!(!env_flag("X", ""));
-        assert!(!env_flag("X", "yes"), "junk warns and stays off");
-        assert_eq!(parse_or_warn::<u64>("X", "99"), Some(99));
-        assert_eq!(parse_or_warn::<u64>("X", "ninety"), None);
+    fn sampling_knobs_parse_or_name_the_junk() {
+        assert_eq!(sampling(&[]), Ok(SamplingEnv::default()));
         assert_eq!(
-            parse_or_warn::<usize>("X", "0"),
-            Some(0),
+            sampling(&[
+                ("SKIA_SAMPLE", "1"),
+                ("SKIA_SAMPLE_INTERVAL", "8000"),
+                ("SKIA_SAMPLE_K", "5"),
+                ("SKIA_SAMPLE_WARMUP", "0"),
+                ("SKIA_SAMPLE_SEED", "99"),
+            ]),
+            Ok(SamplingEnv {
+                enabled: true,
+                interval: Some(8000),
+                k: Some(5),
+                warmup: Some(0),
+                seed: Some(99),
+            }),
             "warmup may be zero"
         );
-        let d = SamplingEnv::default();
-        assert!(!d.enabled);
-        assert_eq!(d.interval, None);
+        for (on, want) in [
+            ("true", true),
+            ("on", true),
+            ("0", false),
+            ("off", false),
+            ("", false),
+        ] {
+            assert_eq!(
+                sampling(&[("SKIA_SAMPLE", on)]).map(|e| e.enabled),
+                Ok(want)
+            );
+        }
+        for (name, raw, what) in [
+            ("SKIA_SAMPLE", "yes", "a boolean"),
+            ("SKIA_SAMPLE_INTERVAL", "0", "a positive integer"),
+            ("SKIA_SAMPLE_K", "0", "a positive integer"),
+            ("SKIA_SAMPLE_K", "three", "a positive integer"),
+            ("SKIA_SAMPLE_K", "", "a positive integer"),
+            ("SKIA_SAMPLE_WARMUP", "-1", "an unsigned integer"),
+            ("SKIA_SAMPLE_SEED", "ninety", "an unsigned integer"),
+        ] {
+            assert_eq!(
+                sampling(&[(name, raw)]),
+                Err(format!("{name}={raw:?}: not {what}")),
+                "{name}={raw}"
+            );
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! versioned by its `FORMAT_VERSION` constant, so it can change freely between
 //! releases — stale files simply miss.
 
-use std::io::Write as _;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -118,7 +118,7 @@ pub fn load_or_generate_in(dir: Option<&Path>, spec: &ProgramSpec) -> Program {
     }
     let _g = skia_telemetry::span("program_cache.generate");
     let program = Program::generate(spec);
-    try_store(dir, &path, spec, &program);
+    store(dir, &path, |w| write_program(w, spec, &program));
     program
 }
 
@@ -193,7 +193,7 @@ pub fn load_or_record_trace_in(
     }
     let _g = skia_telemetry::span("trace_cache.record");
     let trace = RecordedTrace::record(program, seed, mean_trip, steps);
-    try_store_trace(dir, &path, spec, &trace);
+    store(dir, &path, |w| write_trace(w, spec, &trace));
     (trace, TraceCacheOutcome::Recorded)
 }
 
@@ -295,49 +295,48 @@ fn trace_ident(spec: &ProgramSpec, seed: u64, mean_trip: u32) -> Vec<u8> {
 // Serialization
 // ---------------------------------------------------------------------------
 
-fn serialize(spec: &ProgramSpec, program: &Program) -> Vec<u8> {
+/// Stream the program entry: header, spec echo, image, then every
+/// function's blocks and terminators.
+fn write_program(w: &mut impl Write, spec: &ProgramSpec, program: &Program) -> io::Result<()> {
     let image = program.bytes_at(program.base(), program.code_bytes());
-    let mut out = Vec::with_capacity(64 + image.len());
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    w.write_all(MAGIC)?;
+    w.write_all(&FORMAT_VERSION.to_le_bytes())?;
     let spec_enc = spec_bytes(spec);
-    out.extend_from_slice(&(spec_enc.len() as u32).to_le_bytes());
-    out.extend_from_slice(&spec_enc);
-    out.extend_from_slice(&program.base().to_le_bytes());
-    out.extend_from_slice(&(image.len() as u64).to_le_bytes());
-    out.extend_from_slice(image);
+    w.write_all(&(spec_enc.len() as u32).to_le_bytes())?;
+    w.write_all(&spec_enc)?;
+    w.write_all(&program.base().to_le_bytes())?;
+    w.write_all(&(image.len() as u64).to_le_bytes())?;
+    w.write_all(image)?;
     let (burst_pool, burst_prob) = program.spec_burst();
-    out.extend_from_slice(&(burst_pool as u64).to_le_bytes());
-    out.extend_from_slice(&burst_prob.to_bits().to_le_bytes());
-    out.extend_from_slice(&(program.functions().len() as u64).to_le_bytes());
+    w.write_all(&(burst_pool as u64).to_le_bytes())?;
+    w.write_all(&burst_prob.to_bits().to_le_bytes())?;
+    w.write_all(&(program.functions().len() as u64).to_le_bytes())?;
     for f in program.functions() {
-        out.extend_from_slice(&f.entry.to_le_bytes());
-        out.extend_from_slice(&f.weight.to_bits().to_le_bytes());
-        out.extend_from_slice(&(f.blocks.len() as u64).to_le_bytes());
+        w.write_all(&f.entry.to_le_bytes())?;
+        w.write_all(&f.weight.to_bits().to_le_bytes())?;
+        w.write_all(&(f.blocks.len() as u64).to_le_bytes())?;
         for b in &f.blocks {
-            out.extend_from_slice(&b.start.to_le_bytes());
-            out.extend_from_slice(&b.insns.to_le_bytes());
+            w.write_all(&b.start.to_le_bytes())?;
+            w.write_all(&b.insns.to_le_bytes())?;
             let t = &b.terminator;
-            out.extend_from_slice(&t.pc.to_le_bytes());
-            out.push(t.len);
-            out.push(kind_code(t.kind));
+            w.write_all(&t.pc.to_le_bytes())?;
+            w.write_all(&[t.len, kind_code(t.kind)])?;
             match t.target {
                 Some(addr) => {
-                    out.push(1);
-                    out.extend_from_slice(&addr.to_le_bytes());
+                    w.write_all(&[1])?;
+                    w.write_all(&addr.to_le_bytes())?;
                 }
-                None => out.push(0),
+                None => w.write_all(&[0])?,
             }
-            out.extend_from_slice(&t.fallthrough.to_le_bytes());
-            out.extend_from_slice(&(t.indirect_targets.len() as u32).to_le_bytes());
+            w.write_all(&t.fallthrough.to_le_bytes())?;
+            w.write_all(&(t.indirect_targets.len() as u32).to_le_bytes())?;
             for &addr in &t.indirect_targets {
-                out.extend_from_slice(&addr.to_le_bytes());
+                w.write_all(&addr.to_le_bytes())?;
             }
-            out.push(u8::from(t.backedge));
-            out.push(t.bias);
+            w.write_all(&[u8::from(t.backedge), t.bias])?;
         }
     }
-    out
+    Ok(())
 }
 
 fn kind_code(kind: BranchKind) -> u8 {
@@ -483,36 +482,40 @@ fn deserialize(bytes: &[u8], spec: &ProgramSpec) -> Option<Program> {
     ))
 }
 
-fn serialize_trace(
-    spec: &ProgramSpec,
-    seed: u64,
-    mean_trip: u32,
-    trace: &RecordedTrace,
-) -> Vec<u8> {
-    let n = trace.len();
-    let mut out = Vec::with_capacity(64 + trace.byte_size());
-    out.extend_from_slice(TRACE_MAGIC);
-    out.extend_from_slice(&TRACE_FORMAT_VERSION.to_le_bytes());
-    let ident = trace_ident(spec, seed, mean_trip);
-    out.extend_from_slice(&(ident.len() as u32).to_le_bytes());
-    out.extend_from_slice(&ident);
-    out.extend_from_slice(&(n as u64).to_le_bytes());
-    out.extend_from_slice(&trace.first_block_start.to_le_bytes());
-    for &v in &trace.branch_pc {
-        out.extend_from_slice(&v.to_le_bytes());
+/// Stream the trace entry: header, identity echo, step count, first block
+/// start, then each column whole (the layout `try_load_trace` seeks in).
+fn write_trace(w: &mut impl Write, spec: &ProgramSpec, trace: &RecordedTrace) -> io::Result<()> {
+    w.write_all(TRACE_MAGIC)?;
+    w.write_all(&TRACE_FORMAT_VERSION.to_le_bytes())?;
+    let ident = trace_ident(spec, trace.seed, trace.mean_trip);
+    w.write_all(&(ident.len() as u32).to_le_bytes())?;
+    w.write_all(&ident)?;
+    w.write_all(&(trace.len() as u64).to_le_bytes())?;
+    w.write_all(&trace.first_block_start.to_le_bytes())?;
+    write_column(w, &trace.branch_pc, u64::to_le_bytes)?;
+    write_column(w, &trace.next_pc, u64::to_le_bytes)?;
+    write_column(w, &trace.insns, u32::to_le_bytes)?;
+    w.write_all(&trace.kind)?;
+    w.write_all(&trace.branch_len)?;
+    write_column(w, &trace.taken, u64::to_le_bytes)
+}
+
+/// Write `col` little-endian, encoding through a stack buffer so a
+/// multi-megabyte column costs a few hundred large writes, not one small
+/// write per element.
+fn write_column<T: Copy, const N: usize>(
+    w: &mut impl Write,
+    col: &[T],
+    le: fn(T) -> [u8; N],
+) -> io::Result<()> {
+    let mut buf = [0u8; 8192];
+    for chunk in col.chunks(buf.len() / N) {
+        for (dst, &v) in buf.chunks_exact_mut(N).zip(chunk) {
+            dst.copy_from_slice(&le(v));
+        }
+        w.write_all(&buf[..chunk.len() * N])?;
     }
-    for &v in &trace.next_pc {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    for &v in &trace.insns {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out.extend_from_slice(&trace.kind);
-    out.extend_from_slice(&trace.branch_len);
-    for &w in &trace.taken {
-        out.extend_from_slice(&w.to_le_bytes());
-    }
-    out
+    Ok(())
 }
 
 /// Decode a stored trace. `want` bounds how much is *materialized*: when the
@@ -721,50 +724,38 @@ fn try_load_trace(
 /// that the rename then publishes.
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
-fn tmp_suffix() -> String {
-    format!(
-        "{}-{}",
-        std::process::id(),
-        TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-    )
-}
-
-fn try_store_trace(dir: &Path, path: &Path, spec: &ProgramSpec, trace: &RecordedTrace) {
-    if std::fs::create_dir_all(dir).is_err() {
-        return;
-    }
-    let tmp = dir.join(format!(
-        ".tmp-trace-{:016x}-{}",
-        trace_key(spec, trace.seed, trace.mean_trip),
-        tmp_suffix()
-    ));
-    let bytes = serialize_trace(spec, trace.seed, trace.mean_trip, trace);
-    let ok = std::fs::File::create(&tmp)
-        .and_then(|mut f| f.write_all(&bytes))
-        .is_ok();
-    if ok {
-        IO_BYTES_WRITTEN.fetch_add(bytes.len() as u64, Ordering::Relaxed);
-        let _ = std::fs::rename(&tmp, path);
-    } else {
-        let _ = std::fs::remove_file(&tmp);
-    }
-}
-
-fn try_store(dir: &Path, path: &Path, spec: &ProgramSpec, program: &Program) {
+/// Store a cache entry at `path`: `write` streams it through a buffered
+/// temp file in `dir`, which is then renamed into place (atomic on POSIX),
+/// so concurrent readers never observe a torn entry. Best-effort: on any
+/// failure the temp file is removed and `path` is left as it was. Meters
+/// the bytes of every fully written entry.
+fn store(
+    dir: &Path,
+    path: &Path,
+    write: impl FnOnce(&mut io::BufWriter<std::fs::File>) -> io::Result<()>,
+) {
     if std::fs::create_dir_all(dir).is_err() {
         return;
     }
     // Unique temp name per process *and thread of execution* so concurrent
-    // sweeps don't clobber each other mid-write; rename is atomic on POSIX.
-    let tmp = dir.join(format!(".tmp-{:016x}-{}", spec_key(spec), tmp_suffix()));
-    let bytes = serialize(spec, program);
-    let ok = std::fs::File::create(&tmp)
-        .and_then(|mut f| f.write_all(&bytes))
-        .is_ok();
-    if ok {
-        IO_BYTES_WRITTEN.fetch_add(bytes.len() as u64, Ordering::Relaxed);
-        let _ = std::fs::rename(&tmp, path);
-    } else {
+    // sweeps don't clobber each other mid-write.
+    let name = path.file_name().unwrap_or_default().to_string_lossy();
+    let tmp = dir.join(format!(
+        ".tmp-{name}-{}-{}",
+        std::process::id(),
+        TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let written = std::fs::File::create(&tmp).and_then(|f| {
+        let mut w = io::BufWriter::with_capacity(1 << 16, f);
+        write(&mut w)?;
+        let mut f = w.into_inner().map_err(io::IntoInnerError::into_error)?;
+        io::Seek::stream_position(&mut f)
+    });
+    let published = written.is_ok_and(|bytes| {
+        IO_BYTES_WRITTEN.fetch_add(bytes, Ordering::Relaxed);
+        std::fs::rename(&tmp, path).is_ok()
+    });
+    if !published {
         let _ = std::fs::remove_file(&tmp);
     }
 }
@@ -783,6 +774,18 @@ mod tests {
             functions: 60,
             ..ProgramSpec::default()
         }
+    }
+
+    fn serialize(spec: &ProgramSpec, program: &Program) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_program(&mut out, spec, program).expect("writing to a Vec cannot fail");
+        out
+    }
+
+    fn serialize_trace(spec: &ProgramSpec, trace: &RecordedTrace) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_trace(&mut out, spec, trace).expect("writing to a Vec cannot fail");
+        out
     }
 
     fn assert_programs_equal(a: &Program, b: &Program) {
@@ -949,7 +952,7 @@ mod tests {
             spec_key(&hot)
         ));
         let hot_reference = Program::generate(&hot);
-        try_store(&dir, &hot_path, &hot, &hot_reference);
+        store(&dir, &hot_path, |w| write_program(w, &hot, &hot_reference));
         assert!(hot_path.exists());
         std::fs::set_permissions(&dir, std::fs::Permissions::from_mode(0o555)).unwrap();
 
@@ -992,7 +995,7 @@ mod tests {
         let spec = test_spec();
         let program = Program::generate(&spec);
         let trace = RecordedTrace::record(&program, 42, 8, 777);
-        let bytes = serialize_trace(&spec, 42, 8, &trace);
+        let bytes = serialize_trace(&spec, &trace);
         let loaded = deserialize_trace(&bytes, &spec, 42, 8, None).expect("round trip");
         assert_eq!(trace, loaded);
     }
@@ -1002,7 +1005,7 @@ mod tests {
         let spec = test_spec();
         let program = Program::generate(&spec);
         let trace = RecordedTrace::record(&program, 42, 8, 200);
-        let bytes = serialize_trace(&spec, 42, 8, &trace);
+        let bytes = serialize_trace(&spec, &trace);
         // Different seed, different mean trip, different spec: all miss.
         assert!(deserialize_trace(&bytes, &spec, 43, 8, None).is_none());
         assert!(deserialize_trace(&bytes, &spec, 42, 9, None).is_none());
@@ -1018,7 +1021,7 @@ mod tests {
         let spec = test_spec();
         let program = Program::generate(&spec);
         let trace = RecordedTrace::record(&program, 7, 5, 300);
-        let bytes = serialize_trace(&spec, 7, 5, &trace);
+        let bytes = serialize_trace(&spec, &trace);
         // Truncation, a clobbered header byte, and trailing garbage.
         assert!(deserialize_trace(&bytes[..bytes.len() - 1], &spec, 7, 5, None).is_none());
         assert!(deserialize_trace(&bytes[1..], &spec, 7, 5, None).is_none());
@@ -1165,7 +1168,7 @@ mod tests {
         let before = trace_cache_io();
         let (trace, outcome) = load_or_record_trace_in(Some(&dir), &program, &spec, 11, 8, STEPS);
         assert_eq!(outcome, TraceCacheOutcome::Recorded);
-        let stored_bytes = serialize_trace(&spec, 11, 8, &trace).len() as u64;
+        let stored_bytes = serialize_trace(&spec, &trace).len() as u64;
         let after_store = trace_cache_io();
         assert!(
             after_store.bytes_written >= before.bytes_written + stored_bytes,
@@ -1200,6 +1203,57 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The stored bytes are pinned: a fixed spec and walk must write the
+    /// exact program and trace files every earlier build wrote, so caches
+    /// stay shareable across builds without a format-version bump.
+    #[test]
+    fn stored_files_are_pinned() {
+        let dir = std::env::temp_dir().join(format!("skia-cache-pin-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let spec = ProgramSpec {
+            seed: 0x5707E,
+            ..test_spec()
+        };
+        let program = load_or_generate_in(Some(&dir), &spec);
+        let (_, outcome) = load_or_record_trace_in(Some(&dir), &program, &spec, 4, 6, 5_000);
+        assert_eq!(outcome, TraceCacheOutcome::Recorded);
+        let digest = |name: String| {
+            let bytes = std::fs::read(dir.join(name)).expect("stored file");
+            let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+            for &b in &bytes {
+                hash ^= u64::from(b);
+                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            (bytes.len(), hash)
+        };
+        let prog = digest(format!(
+            "program-{:016x}-v{FORMAT_VERSION}.bin",
+            spec_key(&spec)
+        ));
+        let trace = digest(format!(
+            "trace-{:016x}-v{TRACE_FORMAT_VERSION}.bin",
+            trace_key(&spec, 4, 6)
+        ));
+        assert_eq!(prog, (48_568, 0x5e8d_1549_ba37_af6d), "program file");
+        assert_eq!(trace, (110_828, 0x71ea_76a8_b769_ba16), "trace file");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A write that fails midway publishes nothing: no entry, no temp file.
+    #[test]
+    fn failed_stream_leaves_no_entry_or_temp_file() {
+        let dir = std::env::temp_dir().join(format!("skia-cache-torn-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("trace-torn.bin");
+        store(&dir, &path, |w| {
+            w.write_all(b"half an entry")?;
+            Err(io::Error::other("disk full"))
+        });
+        let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        assert!(left.is_empty(), "nothing may survive: {left:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn load_or_generate_hits_its_own_store() {
         let dir = std::env::temp_dir().join(format!("skia-cache-test-{}", std::process::id()));
@@ -1209,7 +1263,7 @@ mod tests {
         let path = dir.join(format!("program-{key:016x}-v{FORMAT_VERSION}.bin"));
 
         let generated = Program::generate(&spec);
-        try_store(&dir, &path, &spec, &generated);
+        store(&dir, &path, |w| write_program(w, &spec, &generated));
         let cached = try_load(&path, &spec).expect("stored entry loads");
         assert_programs_equal(&generated, &cached);
         let _ = std::fs::remove_dir_all(&dir);

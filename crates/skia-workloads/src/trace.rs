@@ -2,14 +2,15 @@
 //! times.
 //!
 //! Every figure in the paper is a sweep — one workload trace replayed under
-//! many front-end configurations. The live [`Walker`] pays RNG draws, trip
-//! bookkeeping and (for indirect calls) a per-step weight vector allocation
-//! on every block; a sweep re-pays all of it once per configuration for a
-//! stream that is, by construction, identical across configurations. A
-//! [`RecordedTrace`] materializes the stream into struct-of-arrays columns
-//! (~22 bytes/step) so replay is a pure column read: no RNG, no hashing, no
-//! allocation. This is the checkpoint-reuse discipline of SimPoint-style
-//! sampling applied to the simulator's own trace generator.
+//! many front-end configurations. The live [`Walker`] pays RNG draws,
+//! call-stack and trip bookkeeping and (for indirect calls) a weighted pick
+//! over the target set on every block; a sweep would re-pay all of it once
+//! per configuration for a stream that is, by construction, identical
+//! across configurations. A [`RecordedTrace`] materializes the stream into
+//! struct-of-arrays columns (~22 bytes/step) so replay is a pure column
+//! read: no RNG, no hashing, no allocation. This is the checkpoint-reuse
+//! discipline of SimPoint-style sampling applied to the simulator's own
+//! trace generator.
 //!
 //! Bit-identity is structural, not probabilistic: [`Replay`] yields the
 //! exact [`TraceStep`] values the recording walker produced (the `taken`

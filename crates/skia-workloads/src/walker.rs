@@ -15,11 +15,19 @@
 //!   a static property of the branch, as in real code).
 //! * **Returns** pop the walker's call stack; the dispatcher (function 0)
 //!   restarts forever, modeling a server request loop.
+//!
+//! The walker resolves the program once, in [`Walker::new`], into a dense
+//! walk table: every block gets an id in (function, block) order, every
+//! direct branch its target id, every indirect site its target ids and
+//! tempered weights, and loop trip counters live in a flat array indexed
+//! by block id. A step is then array indexing plus the RNG draws the
+//! behaviour model calls for: no hashing, allocation or square root.
+
+use std::marker::PhantomData;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use skia_isa::BranchKind;
-use std::collections::HashMap;
 
 use crate::program::Program;
 
@@ -51,24 +59,68 @@ impl TraceStep {
     }
 }
 
+/// Block id of an address that starts no block. Walking to it panics on
+/// the out-of-bounds index, so a malformed program fails only if the walk
+/// reaches the bad edge.
+const NO_BLOCK: u32 = u32::MAX;
+
+/// Trip counter of a loop that is not running. Never a live count: counts
+/// are drawn from `1..=2·mean`, an even bound below `u32::MAX`.
+const NO_TRIP: u32 = u32::MAX;
+
+/// One block as the walker sees it, successors resolved to block ids.
+#[derive(Debug, Clone, Copy)]
+struct WalkBlock {
+    start: u64,
+    branch_pc: u64,
+    fallthrough: u64,
+    insns: u32,
+    kind: BranchKind,
+    len: u8,
+    backedge: bool,
+    /// Direct target's block id (conditionals, jumps, calls).
+    target: u32,
+    /// Taken probability of a non-backedge conditional.
+    p_taken: f64,
+    /// Indirect sites: `sites[lo..hi]` of the table.
+    lo: u32,
+    hi: u32,
+    /// Indirect sites: the `iter().sum()` of the sites' weights.
+    total: f64,
+}
+
+/// One target of an indirect site.
+#[derive(Debug, Clone, Copy)]
+struct Site {
+    block: u32,
+    /// Tempered hotness: the square root of the owning function's weight
+    /// (`1e-6` when the target starts no block).
+    weight: f64,
+}
+
 /// Infinite trace iterator over a [`Program`].
 #[derive(Debug, Clone)]
 pub struct Walker<'p> {
-    program: &'p Program,
+    blocks: Vec<WalkBlock>,
+    sites: Vec<Site>,
+    /// Ids `0..dispatcher_blocks` are the dispatcher's (function 0).
+    dispatcher_blocks: u32,
     rng: SmallRng,
-    /// (function idx, block idx) currently executing.
-    cur: (u32, u32),
-    /// Return stack: (function idx, block idx) to resume *after* the call.
-    stack: Vec<(u32, u32)>,
-    /// Live loop trip counters, keyed by backedge pc.
-    trips: HashMap<u64, u32>,
+    /// Block id currently executing.
+    cur: u32,
+    /// Return stack: block id to resume *after* the call.
+    stack: Vec<u32>,
+    /// Live loop trip counters per block id ([`NO_TRIP`] when idle).
+    trips: Vec<u32>,
     mean_trip: u32,
     max_stack: usize,
     /// Recent dispatcher targets (request-burst temporal locality).
-    burst_pool: Vec<u64>,
+    burst_pool: Vec<u32>,
     burst_next: usize,
     burst_prob: f64,
     burst_cap: usize,
+    /// The table is a copy, but a walker still borrows its program.
+    program: PhantomData<&'p Program>,
 }
 
 impl<'p> Walker<'p> {
@@ -81,20 +133,88 @@ impl<'p> Walker<'p> {
     /// Start walking `program` from the dispatcher (function 0).
     #[must_use]
     pub fn new(program: &'p Program, seed: u64, mean_trip: u32) -> Self {
-        let spec = program.spec_burst();
+        let functions = program.functions();
+        let mut first_id = Vec::with_capacity(functions.len());
+        let mut nblocks = 0u32;
+        for f in functions {
+            first_id.push(nblocks);
+            nblocks += f.blocks.len() as u32;
+        }
+        let locate = |addr: u64| {
+            program
+                .locate_block(addr)
+                .map(|(fi, bi)| (fi as usize, first_id[fi as usize] + bi))
+        };
+        let mut blocks = Vec::with_capacity(nblocks as usize);
+        let mut sites = Vec::new();
+        for b in functions.iter().flat_map(|f| &f.blocks) {
+            let t = &b.terminator;
+            let lo = sites.len();
+            sites.extend(t.indirect_targets.iter().map(|&addr| {
+                let (block, weight) =
+                    locate(addr).map_or((NO_BLOCK, 1e-6), |(fi, id)| (id, functions[fi].weight));
+                Site {
+                    block,
+                    weight: weight.sqrt(),
+                }
+            }));
+            blocks.push(WalkBlock {
+                start: b.start,
+                branch_pc: t.pc,
+                fallthrough: t.fallthrough,
+                insns: b.insns,
+                kind: t.kind,
+                len: t.len,
+                backedge: t.backedge,
+                target: t.target.and_then(locate).map_or(NO_BLOCK, |(_, id)| id),
+                // Static per-branch bias. Real conditionals are strongly
+                // bimodal (error paths almost-never, guard checks
+                // almost-always); only a minority are balanced. This is
+                // what lets a TAGE-class predictor reach realistic
+                // accuracy on the synthetic trace.
+                // Half the forward conditionals are almost-always taken:
+                // hot jumps over cold fall-through regions — the very
+                // structure of the paper's Fig. 2 (cold bytes in the
+                // shadow of an executed exit point).
+                // Hot jumps are *very* strongly biased (99.5%): their
+                // cold fall-through regions then recur beyond the BTB's
+                // eviction horizon (genuine capacity-missing "cold"
+                // branches) while staying in the shadow of hot fetches.
+                p_taken: match t.bias {
+                    0..=4 => 0.98,
+                    5..=7 => 0.02,
+                    8 => 0.10,
+                    _ => 0.75,
+                },
+                lo: lo as u32,
+                hi: sites.len() as u32,
+                total: sites[lo..].iter().map(|s| s.weight).sum(),
+            });
+        }
+        let (burst_cap, burst_prob) = program.spec_burst();
         Walker {
-            program,
+            blocks,
+            sites,
+            dispatcher_blocks: functions.first().map_or(0, |f| f.blocks.len() as u32),
             rng: SmallRng::seed_from_u64(seed ^ 0x57A1_C0DE),
-            cur: (0, 0),
+            cur: 0,
             stack: Vec::with_capacity(64),
-            trips: HashMap::new(),
+            trips: vec![NO_TRIP; nblocks as usize],
             mean_trip: mean_trip.max(1),
             max_stack: 256,
-            burst_pool: Vec::with_capacity(spec.0),
+            burst_pool: Vec::with_capacity(burst_cap),
             burst_next: 0,
-            burst_prob: spec.1,
-            burst_cap: spec.0,
+            burst_prob,
+            burst_cap,
+            program: PhantomData,
         }
+    }
+
+    /// Push the block after `id` as the return point of a call from `id`.
+    fn push_return(&mut self, id: u32) {
+        if self.stack.len() < self.max_stack {
+            self.stack.push(id + 1);
+        } // else: deepest frame lost; resume collapses to dispatcher
     }
 }
 
@@ -102,46 +222,32 @@ impl Iterator for Walker<'_> {
     type Item = TraceStep;
 
     fn next(&mut self) -> Option<TraceStep> {
-        let program = self.program;
-        let (fi, bi) = self.cur;
-        let func = &program.functions()[fi as usize];
-        let block = &func.blocks[bi as usize];
-        let t = &block.terminator;
+        let id = self.cur;
+        let b = self.blocks[id as usize];
 
-        let (taken, next_pc, next_loc): (bool, u64, (u32, u32)) = match t.kind {
-            BranchKind::Return => {
-                let resume = self.stack.pop().unwrap_or((0, 0));
-                let addr = program.functions()[resume.0 as usize].blocks[resume.1 as usize].start;
-                (true, addr, resume)
-            }
-            BranchKind::DirectUncond => {
-                let target = t.target.expect("uncond has target");
-                let loc = program.locate_block(target).expect("target is a block");
-                (true, target, loc)
-            }
+        let (taken, next_id) = match b.kind {
+            BranchKind::Return => (true, self.stack.pop().unwrap_or(0)),
+            BranchKind::DirectUncond => (true, b.target),
             BranchKind::Call => {
-                let target = t.target.expect("call has target");
-                let loc = program.locate_block(target).expect("callee entry");
-                if self.stack.len() < self.max_stack {
-                    self.stack.push((fi, bi + 1));
-                } // else: deepest frame lost; resume collapses to dispatcher
-                (true, target, loc)
+                self.push_return(id);
+                (true, b.target)
             }
             BranchKind::IndirectCall => {
                 // Weighted choice among the target set (hotter = likelier).
                 // Dispatcher calls additionally model request bursts: most
                 // requests repeat a recently seen target, so hot sets stay
                 // warm while cold targets recur at long distances.
-                let targets = &t.indirect_targets;
-                let from_pool = fi == 0
+                let dispatcher = id < self.dispatcher_blocks;
+                let from_pool = dispatcher
                     && self.burst_cap > 0
                     && !self.burst_pool.is_empty()
                     && self.rng.gen_bool(self.burst_prob);
                 let target = if from_pool {
                     self.burst_pool[self.rng.gen_range(0..self.burst_pool.len())]
                 } else {
-                    let fresh = *weighted_pick(&mut self.rng, program, targets);
-                    if fi == 0 && self.burst_cap > 0 {
+                    let sites = &self.sites[b.lo as usize..b.hi as usize];
+                    let fresh = weighted_pick(&mut self.rng, sites, b.total);
+                    if dispatcher && self.burst_cap > 0 {
                         if self.burst_pool.len() < self.burst_cap {
                             self.burst_pool.push(fresh);
                         } else {
@@ -151,107 +257,80 @@ impl Iterator for Walker<'_> {
                     }
                     fresh
                 };
-                let loc = program.locate_block(target).expect("indirect callee");
-                if self.stack.len() < self.max_stack {
-                    self.stack.push((fi, bi + 1));
-                }
-                (true, target, loc)
+                self.push_return(id);
+                (true, target)
             }
             BranchKind::IndirectJmp => {
-                let targets = &t.indirect_targets;
-                let target = targets[self.rng.gen_range(0..targets.len())];
-                let loc = program.locate_block(target).expect("indirect block");
-                (true, target, loc)
+                let n = (b.hi - b.lo) as usize;
+                (
+                    true,
+                    self.sites[b.lo as usize + self.rng.gen_range(0..n)].block,
+                )
             }
             BranchKind::DirectCond => {
-                let taken = if t.backedge {
+                let taken = if b.backedge {
                     // Trip-counted loop: taken while iterations remain.
-                    let mean = self.mean_trip;
-                    let remaining = self.trips.entry(t.pc).or_insert_with(|| {
+                    let remaining = &mut self.trips[id as usize];
+                    if *remaining == NO_TRIP {
                         // 1..2·mean, deterministic per (pc, entry).
-                        self.rng.gen_range(1..=mean * 2)
-                    });
+                        *remaining = self.rng.gen_range(1..=self.mean_trip * 2);
+                    }
                     if *remaining > 0 {
                         *remaining -= 1;
                         true
                     } else {
-                        self.trips.remove(&t.pc);
+                        *remaining = NO_TRIP;
                         false
                     }
                 } else {
-                    // Static per-branch bias. Real conditionals are strongly
-                    // bimodal (error paths almost-never, guard checks
-                    // almost-always); only a minority are balanced. This is
-                    // what lets a TAGE-class predictor reach realistic
-                    // accuracy on the synthetic trace.
-                    // Half the forward conditionals are almost-always taken:
-                    // hot jumps over cold fall-through regions — the very
-                    // structure of the paper's Fig. 2 (cold bytes in the
-                    // shadow of an executed exit point).
-                    // Hot jumps are *very* strongly biased (99.5%): their
-                    // cold fall-through regions then recur beyond the BTB's
-                    // eviction horizon (genuine capacity-missing "cold"
-                    // branches) while staying in the shadow of hot fetches.
-                    let p = match t.bias {
-                        0..=4 => 0.98,
-                        5..=7 => 0.02,
-                        8 => 0.10,
-                        _ => 0.75,
-                    };
-                    self.rng.gen_bool(p)
+                    self.rng.gen_bool(b.p_taken)
                 };
                 if taken {
-                    let target = t.target.expect("cond has target");
-                    let loc = program.locate_block(target).expect("cond target");
-                    (true, target, loc)
+                    (true, b.target)
                 } else {
-                    (false, t.fallthrough, (fi, bi + 1))
+                    (false, id + 1)
                 }
             }
         };
 
-        self.cur = next_loc;
+        self.cur = next_id;
         Some(TraceStep {
-            block_start: block.start,
-            branch_pc: t.pc,
-            branch_len: t.len,
-            kind: t.kind,
+            block_start: b.start,
+            branch_pc: b.branch_pc,
+            branch_len: b.len,
+            kind: b.kind,
             taken,
-            next_pc,
-            insns: block.insns,
+            next_pc: if taken {
+                self.blocks[next_id as usize].start
+            } else {
+                b.fallthrough
+            },
+            insns: b.insns,
         })
     }
 }
 
-/// Pick an address from `targets`, weighted by the owning function's
+/// Pick a target block from `sites`, weighted by the owning function's
 /// hotness — tempered so cold targets recur at long intervals instead of
-/// never (the paper's "cold branch" capacity-miss behaviour, §1).
-fn weighted_pick<'a>(rng: &mut SmallRng, program: &Program, targets: &'a [u64]) -> &'a u64 {
-    debug_assert!(!targets.is_empty());
+/// never (the paper's "cold branch" capacity-miss behaviour, §1). `total`
+/// is the sum of the sites' weights.
+fn weighted_pick(rng: &mut SmallRng, sites: &[Site], total: f64) -> u32 {
+    debug_assert!(!sites.is_empty());
     // 30% of picks are uniform: every callee, however cold, keeps recurring.
     if rng.gen_bool(0.30) {
-        return &targets[rng.gen_range(0..targets.len())];
+        return sites[rng.gen_range(0..sites.len())].block;
     }
-    // Tempered hotness (square root) flattens the Zipf head so one hot
-    // callee does not monopolize a call site.
-    let weights: Vec<f64> = targets
-        .iter()
-        .map(|&t| {
-            program
-                .locate_block(t)
-                .map_or(1e-6, |(fi, _)| program.functions()[fi as usize].weight)
-                .sqrt()
-        })
-        .collect();
-    let total: f64 = weights.iter().sum();
+    // Tempered hotness (square root, taken when the table is built)
+    // flattens the Zipf head so one hot callee does not monopolize a call
+    // site.
     let mut pick = rng.gen_range(0.0..total.max(1e-12));
-    for (i, w) in weights.iter().enumerate() {
-        if pick < *w {
-            return &targets[i];
+    for s in sites {
+        if pick < s.weight {
+            return s.block;
         }
-        pick -= w;
+        pick -= s.weight;
     }
-    targets.last().expect("nonempty")
+    sites.last().expect("nonempty").block
 }
 
 #[cfg(test)]

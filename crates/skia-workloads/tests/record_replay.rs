@@ -144,3 +144,45 @@ fn replay_is_stateless_and_repeatable() {
     assert_eq!(a, b);
     assert_eq!(a.len(), 2000);
 }
+
+/// FNV-1a 64 over every field of every step a walk yields.
+fn stream_digest(steps: impl Iterator<Item = skia_workloads::TraceStep>) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut mix = |bytes: &[u8]| {
+        for &b in bytes {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for s in steps {
+        let kind = skia_isa::BranchKind::ALL
+            .iter()
+            .position(|&k| k == s.kind)
+            .unwrap() as u8;
+        mix(&s.block_start.to_le_bytes());
+        mix(&s.branch_pc.to_le_bytes());
+        mix(&[s.branch_len, kind, u8::from(s.taken)]);
+        mix(&s.next_pc.to_le_bytes());
+        mix(&s.insns.to_le_bytes());
+    }
+    hash
+}
+
+/// The paper profiles' walks are pinned bit for bit at 200k steps: the
+/// live walker and its recording must both reproduce the digests every
+/// cached trace and figure was built from.
+#[test]
+fn paper_profile_walks_are_pinned() {
+    for (name, want) in [
+        ("tpcc", 0x8bc7_e411_a496_d803),
+        ("ycsb", 0x11f7_a131_c82d_f153),
+    ] {
+        let p = skia_workloads::profile(name).expect("paper profile");
+        let program = Program::generate(&p.spec);
+        let mean_trip = p.spec.mean_trip_count;
+        let live = stream_digest(Walker::new(&program, p.trace_seed, mean_trip).take(200_000));
+        assert_eq!(live, want, "{name}: walk digest {live:#018x}");
+        let trace = RecordedTrace::record(&program, p.trace_seed, mean_trip, 200_000);
+        assert_eq!(stream_digest(trace.replay()), want, "{name}: recording");
+    }
+}

@@ -7,8 +7,9 @@
 
 use skia_core::SkiaConfig;
 use skia_frontend::{FrontendConfig, Simulator};
+use skia_isa::BranchKind;
 use skia_oracle::{run_case, DiffCase};
-use skia_workloads::{Layout, Program, ProgramSpec, RecordedTrace, SamplingPlan};
+use skia_workloads::{Layout, Program, ProgramSpec, RecordedTrace, SamplingPlan, Walker};
 
 /// Skia on, both layouts, with the default SBB and a tiny one (eviction
 /// and retired-bit replacement hot): every case must replay without a
@@ -62,4 +63,94 @@ fn degenerate_sampling_is_exact_for_btb_plus_skia() {
     let sampled = skia_frontend::run_plan(&program, &config, &recorded, &plan, None);
     assert!(full.skia.is_some_and(|s| s.sbd.head_regions > 0));
     assert_eq!(sampled, full, "degenerate plan must be exact");
+}
+
+/// FNV-1a 64 over every field of every step of a `steps`-long walk, plus
+/// how often the walk exercised each kind of random choice: dispatcher
+/// indirect calls, indirect jumps and taken loop backedges.
+fn walk_digest(program: &Program, seed: u64, mean_trip: u32, steps: usize) -> (u64, [u64; 3]) {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut mix = |bytes: &[u8]| {
+        for &b in bytes {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    let dispatcher = &program.functions()[0].blocks;
+    let mut seen = [0u64; 3];
+    for s in Walker::new(program, seed, mean_trip).take(steps) {
+        let kind = BranchKind::ALL.iter().position(|&k| k == s.kind).unwrap() as u8;
+        mix(&s.block_start.to_le_bytes());
+        mix(&s.branch_pc.to_le_bytes());
+        mix(&[s.branch_len, kind, u8::from(s.taken)]);
+        mix(&s.next_pc.to_le_bytes());
+        mix(&s.insns.to_le_bytes());
+        match s.kind {
+            BranchKind::IndirectCall if dispatcher.iter().any(|b| b.start == s.block_start) => {
+                seen[0] += 1;
+            }
+            BranchKind::IndirectJmp => seen[1] += 1,
+            BranchKind::DirectCond if s.taken && s.next_pc <= s.block_start => seen[2] += 1,
+            _ => {}
+        }
+    }
+    (hash, seen)
+}
+
+/// The walker's output is pinned bit for bit: a 20k-step walk over three
+/// small programs, each stressing one random choice — burst-pool
+/// dispatcher calls, indirect jumps, and backedges of one-trip loops.
+/// Every recorded trace, cached file and figure descends from this
+/// stream, so a walker change that moves any RNG draw or pick fails here.
+#[test]
+fn walker_stream_is_pinned() {
+    let cases: [(&str, ProgramSpec, u32, u64); 3] = [
+        (
+            "dispatcher bursts",
+            ProgramSpec {
+                seed: 0xD15,
+                functions: 300,
+                dispatch_blocks: 32,
+                dispatch_callees: 64,
+                burst_pool: 16,
+                burst_prob: 0.6,
+                ..ProgramSpec::default()
+            },
+            6,
+            0x4023_bee7_b190_a8e2,
+        ),
+        (
+            "indirect jumps",
+            ProgramSpec {
+                seed: 0x1D1,
+                functions: 200,
+                blocks_per_fn: 6..14,
+                indirect_fraction: 0.4,
+                ..ProgramSpec::default()
+            },
+            6,
+            0xad28_48fe_09a2_262a,
+        ),
+        (
+            "short loops",
+            ProgramSpec {
+                seed: 0xB4C,
+                functions: 200,
+                cond_fraction: 0.7,
+                backedge_fraction: 0.7,
+                ..ProgramSpec::default()
+            },
+            1,
+            0x3db5_8f4e_be2d_963d,
+        ),
+    ];
+    for (i, (name, spec, mean_trip, want)) in cases.into_iter().enumerate() {
+        let program = Program::generate(&spec);
+        let (got, seen) = walk_digest(&program, 3 + i as u64, mean_trip, 20_000);
+        assert!(
+            seen[i] >= 500,
+            "{name} barely exercised its choice: {seen:?}"
+        );
+        assert_eq!(got, want, "{name}: walk digest {got:#018x}");
+    }
 }
