@@ -132,23 +132,25 @@ pub struct SbbHit {
     pub len: u8,
 }
 
-/// Hit/fill counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SbbStats {
-    /// Lookups that hit in the U-SBB.
-    pub u_hits: u64,
-    /// Lookups that hit in the R-SBB.
-    pub r_hits: u64,
-    /// Total lookups.
-    pub lookups: u64,
-    /// Entries inserted into the U-SBB.
-    pub u_inserts: u64,
-    /// Entries inserted into the R-SBB.
-    pub r_inserts: u64,
-    /// Entries whose retired bit was set at commit.
-    pub retirements: u64,
-    /// Evicted entries that had never retired (bogus-or-unused casualties).
-    pub evicted_unretired: u64,
+skia_telemetry::counter_struct! {
+    /// Hit/fill counters.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct SbbStats {
+        /// Lookups that hit in the U-SBB.
+        pub u_hits: u64,
+        /// Lookups that hit in the R-SBB.
+        pub r_hits: u64,
+        /// Total lookups.
+        pub lookups: u64,
+        /// Entries inserted into the U-SBB.
+        pub u_inserts: u64,
+        /// Entries inserted into the R-SBB.
+        pub r_inserts: u64,
+        /// Entries whose retired bit was set at commit.
+        pub retirements: u64,
+        /// Evicted entries that had never retired (bogus-or-unused casualties).
+        pub evicted_unretired: u64,
+    }
 }
 
 /// Per-line bitmaps of resident SBB pcs (both halves): bit `i` of a line's

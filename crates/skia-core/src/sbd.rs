@@ -58,6 +58,18 @@ impl IndexPolicy {
     }
 }
 
+impl std::str::FromStr for IndexPolicy {
+    type Err = ();
+
+    /// Parse a policy by its [`IndexPolicy::label`].
+    fn from_str(label: &str) -> Result<IndexPolicy, ()> {
+        IndexPolicy::ALL
+            .into_iter()
+            .find(|p| p.label() == label)
+            .ok_or(())
+    }
+}
+
 /// A branch found in a shadow region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShadowBranch {
@@ -87,23 +99,25 @@ pub struct HeadDecode {
     pub discarded: bool,
 }
 
-/// Aggregate SBD counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShadowDecoderStats {
-    /// Head regions examined.
-    pub head_regions: u64,
-    /// Head regions with at least one valid path.
-    pub head_regions_valid: u64,
-    /// Head regions discarded for exceeding the valid-path bound.
-    pub head_regions_discarded: u64,
-    /// Tail regions examined.
-    pub tail_regions: u64,
-    /// Branches found in head regions.
-    pub head_branches: u64,
-    /// Branches found in tail regions.
-    pub tail_branches: u64,
-    /// Sum of valid path counts (for mean-paths reporting).
-    pub valid_path_sum: u64,
+skia_telemetry::counter_struct! {
+    /// Aggregate SBD counters.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ShadowDecoderStats {
+        /// Head regions examined.
+        pub head_regions: u64,
+        /// Head regions with at least one valid path.
+        pub head_regions_valid: u64,
+        /// Head regions discarded for exceeding the valid-path bound.
+        pub head_regions_discarded: u64,
+        /// Tail regions examined.
+        pub tail_regions: u64,
+        /// Branches found in head regions.
+        pub head_branches: u64,
+        /// Branches found in tail regions.
+        pub tail_branches: u64,
+        /// Sum of valid path counts (for mean-paths reporting).
+        pub valid_path_sum: u64,
+    }
 }
 
 /// Entry bound for the region memo (head and tail entries together). At
@@ -684,6 +698,14 @@ fn decode_head_into(
 mod tests {
     use super::*;
     use skia_isa::encode;
+
+    #[test]
+    fn policies_parse_from_their_labels() {
+        for p in IndexPolicy::ALL {
+            assert_eq!(p.label().parse(), Ok(p));
+        }
+        assert_eq!("First".parse::<IndexPolicy>(), Err(()));
+    }
 
     /// Build a 64-byte line from closures writing into it.
     fn pad_to_line(mut bytes: Vec<u8>) -> Vec<u8> {

@@ -14,7 +14,7 @@
 //! * at commit, [`Skia::mark_retired`] sets the retired bit so useful
 //!   entries outlive bogus ones, and promotion moves the branch into the BTB.
 
-use skia_telemetry::{EventKind, EventTrace, Histogram, MetricRegistry};
+use skia_telemetry::{CounterName, EventKind, EventTrace, Histogram};
 
 use std::ops::Range;
 
@@ -119,31 +119,30 @@ impl SkiaStats {
         }
     }
 
-    /// Upsert every counter into `reg` under the `skia.` prefix (the
-    /// pull-model telemetry bridge: these structs accumulate internally and
-    /// are exported at snapshot time).
-    pub fn register_into(&self, reg: &mut MetricRegistry) {
-        reg.set_counter("skia.sbd.head_regions", self.sbd.head_regions);
-        reg.set_counter("skia.sbd.head_regions_valid", self.sbd.head_regions_valid);
-        reg.set_counter(
-            "skia.sbd.head_regions_discarded",
-            self.sbd.head_regions_discarded,
-        );
-        reg.set_counter("skia.sbd.tail_regions", self.sbd.tail_regions);
-        reg.set_counter("skia.sbd.head_branches", self.sbd.head_branches);
-        reg.set_counter("skia.sbd.tail_branches", self.sbd.tail_branches);
-        reg.set_counter("skia.sbd.valid_path_sum", self.sbd.valid_path_sum);
-        reg.set_counter("skia.sbb.u_hits", self.sbb.u_hits);
-        reg.set_counter("skia.sbb.r_hits", self.sbb.r_hits);
-        reg.set_counter("skia.sbb.lookups", self.sbb.lookups);
-        reg.set_counter("skia.sbb.u_inserts", self.sbb.u_inserts);
-        reg.set_counter("skia.sbb.r_inserts", self.sbb.r_inserts);
-        reg.set_counter("skia.sbb.retirements", self.sbb.retirements);
-        reg.set_counter("skia.sbb.evicted_unretired", self.sbb.evicted_unretired);
-        reg.set_counter("skia.filtered_known", self.filtered_known);
-        reg.set_counter("skia.bogus_uses", self.bogus_uses);
-        reg.set_counter("skia.useful_uses", self.useful_uses);
-        reg.set_gauge("skia.bogus_rate", self.bogus_rate());
+    /// Visit every counter of `self` beside the same counter of `other`,
+    /// with its `skia.*` metric name — the one list of Skia's counters, in
+    /// the shape of the [`skia_telemetry::counter_struct!`] visitors: the
+    /// decoder's and the buffer's own lists, then Skia's scalars. The full
+    /// destructure (no `..`) makes a new field fail to compile until it is
+    /// listed here.
+    #[inline]
+    pub fn zip_counters(
+        &mut self,
+        other: &SkiaStats,
+        f: &mut impl FnMut(CounterName<'_>, &mut u64, u64),
+    ) {
+        macro_rules! visit {
+            ($($field:ident),+) => {
+                let SkiaStats { sbd, sbb, $($field),+ } = self;
+                sbd.zip_counters(&other.sbd, "skia.sbd", f);
+                sbb.zip_counters(&other.sbb, "skia.sbb", f);
+                $(
+                    let name = CounterName { scope: "skia", leaf: stringify!($field) };
+                    f(name, $field, other.$field);
+                )+
+            };
+        }
+        visit!(filtered_known, bogus_uses, useful_uses);
     }
 }
 
@@ -596,17 +595,20 @@ mod tests {
     }
 
     #[test]
-    fn stats_register_into_covers_every_counter() {
+    fn stats_visitor_names_every_counter() {
         let (line, entry, base) = line_with_head_ret();
         let mut skia = Skia::new(first_policy());
         skia.on_line_entered(&line, base, entry);
-        let mut reg = MetricRegistry::new();
-        skia.stats().register_into(&mut reg);
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("skia.sbd.head_regions"), Some(1));
-        assert_eq!(snap.counter("skia.sbb.u_inserts"), Some(0));
-        assert_eq!(snap.counter("skia.sbb.r_inserts"), Some(1));
-        assert!(snap.gauge("skia.bogus_rate").is_some());
+        let stats = skia.stats();
+        let mut seen = std::collections::BTreeMap::new();
+        SkiaStats::default().zip_counters(&stats, &mut |name, _, v| {
+            assert!(seen.insert(name.to_string(), v).is_none(), "{name} twice");
+        });
+        assert_eq!(seen.len(), 17, "7 SBD + 7 SBB + 3 Skia counters");
+        assert_eq!(seen["skia.sbd.head_regions"], 1);
+        assert_eq!(seen["skia.sbb.u_inserts"], 0);
+        assert_eq!(seen["skia.sbb.r_inserts"], 1);
+        assert_eq!(seen["skia.useful_uses"], 0);
     }
 
     /// The fill's all-resident fast path against the per-branch loop it

@@ -3,8 +3,9 @@
 //! that the synthetic workloads land in the paper's qualitative regime
 //! (L1-I MPKI > 10, high BTB miss L1-I residency, Skia speedups).
 
-use skia_experiments::{steps_from_env, Args, StandingConfig, Sweep};
+use skia_experiments::{steps_from_env, verbose, Args, StandingConfig, Sweep};
 use skia_frontend::FrontendConfig;
+use skia_runner::{env_var, knob, or_exit};
 
 fn main() {
     let steps = steps_from_env();
@@ -17,14 +18,11 @@ fn main() {
     };
 
     let mut skia_cfg = skia_core::SkiaConfig::default();
-    if let Ok(p) = std::env::var("SKIA_POLICY") {
-        skia_cfg.index_policy = match p.as_str() {
-            "zero" => skia_core::IndexPolicy::Zero,
-            "merge" => skia_core::IndexPolicy::Merge,
-            _ => skia_core::IndexPolicy::First,
-        };
+    let policy = knob(&env_var, "SKIA_POLICY", "first, zero or merge", |_| true);
+    if let Some(p) = or_exit(policy) {
+        skia_cfg.index_policy = p;
     }
-    let verbose = std::env::var("SKIA_VERBOSE").is_ok();
+    let verbose = verbose();
 
     // Per benchmark: base, skia, and (verbose only) the 100× SBB ceiling
     // run, in the original serial order.

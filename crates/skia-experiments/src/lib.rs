@@ -25,6 +25,7 @@ pub mod pins;
 pub mod report;
 
 pub use skia_frontend::stats::geomean;
+use skia_runner::{env_var, flag, or_exit, positive};
 pub use skia_runner::{sampling_env, thread_count, SamplingEnv, SweepReport};
 
 /// Default trace length (true-path basic blocks) per benchmark run.
@@ -37,28 +38,19 @@ pub const DEFAULT_STEPS: usize = 400_000;
 /// Resolve the step budget: `SKIA_STEPS` env var overrides the default so
 /// quick sanity runs and long calibration runs use the same binaries.
 ///
-/// A set but unusable value (not a positive integer) exits with an error
-/// naming it, the same rule as unknown command-line flags: a typo must not
+/// `SKIA_STEPS` is a [`skia_runner::positive`] knob: junk exits 2 naming
+/// it, the same rule as unknown command-line flags, so a typo does not
 /// silently run the 400k-step default.
 #[must_use]
 pub fn steps_from_env() -> usize {
-    let raw = match std::env::var("SKIA_STEPS") {
-        Err(std::env::VarError::NotPresent) => return DEFAULT_STEPS,
-        Err(std::env::VarError::NotUnicode(v)) => v.to_string_lossy().into_owned(),
-        Ok(v) => v,
-    };
-    parse_steps(&raw).unwrap_or_else(|msg| {
-        eprintln!("error: {msg}");
-        std::process::exit(2);
-    })
+    or_exit(positive(&env_var, "SKIA_STEPS")).unwrap_or(DEFAULT_STEPS)
 }
 
-/// The testable core of [`steps_from_env`].
-fn parse_steps(raw: &str) -> Result<usize, String> {
-    match raw.parse::<usize>() {
-        Ok(n) if n > 0 => Ok(n),
-        _ => Err(format!("SKIA_STEPS={raw:?}: not a positive integer")),
-    }
+/// Whether `SKIA_VERBOSE` (a [`skia_runner::flag`]) asks for per-run
+/// diagnostics on stderr; junk exits 2 naming it.
+#[must_use]
+pub fn verbose() -> bool {
+    or_exit(flag(&env_var, "SKIA_VERBOSE")).unwrap_or(false)
 }
 
 /// Materialize the [`SamplingConfig`] for a `steps`-long run from resolved
@@ -423,10 +415,14 @@ impl Args {
             Ok(args) => {
                 // Anchor the process time origin for `run.wall_seconds`,
                 // then arm the span layer: `--emit-json` turns profiling
-                // spans on by default, `SKIA_SPANS=1/0` forces either way.
-                // Spans never write to stdout, so tables stay byte-identical.
+                // spans on by default, the `SKIA_SPANS` flag forces either
+                // way. Spans never write to stdout, so tables stay
+                // byte-identical. `SKIA_VERBOSE` is resolved here too, so
+                // junk in either fails before any work.
                 let _ = skia_telemetry::span::epoch();
-                skia_telemetry::init_spans_from_env(args.emit_json.is_some());
+                let spans = or_exit(flag(&env_var, "SKIA_SPANS"));
+                skia_telemetry::set_spans_enabled(spans.unwrap_or(args.emit_json.is_some()));
+                let _ = verbose();
                 args
             }
             Err(msg) => {
@@ -446,6 +442,13 @@ impl Args {
     /// The testable core: parse an argument list, returning a message for
     /// the first unknown flag, missing value, or invalid benchmark.
     fn parse_from(argv: &[String], allow_names: bool) -> Result<Args, String> {
+        let known = |name: &str| match profile(name) {
+            Some(_) => Ok(()),
+            None => Err(format!(
+                "{name}: unknown benchmark (known: {})",
+                skia_workloads::profile_names().join(", ")
+            )),
+        };
         let mut args = Args::default();
         let mut it = argv.iter();
         let take = |flag: &str,
@@ -467,12 +470,7 @@ impl Args {
                 args.emit_json = Some(PathBuf::from(v));
             } else if a == "--bench" || a.starts_with("--bench=") {
                 let v = take("--bench", a.strip_prefix("--bench="), &mut it)?;
-                if profile(&v).is_none() {
-                    return Err(format!(
-                        "--bench {v}: unknown benchmark (known: {})",
-                        skia_workloads::profile_names().join(", ")
-                    ));
-                }
+                known(&v).map_err(|e| format!("--bench {e}"))?;
                 args.bench = Some(v);
             } else if a == "--threads" || a.starts_with("--threads=") {
                 let v = take("--threads", a.strip_prefix("--threads="), &mut it)?;
@@ -486,6 +484,7 @@ impl Args {
             } else if a.starts_with('-') {
                 return Err(format!("unknown flag {a}"));
             } else if allow_names {
+                known(a)?;
                 args.names.push(a.clone());
             } else {
                 return Err(format!("unexpected argument {a}"));
@@ -757,7 +756,7 @@ impl Sweep {
                 }
             }
         });
-        if !self.quiet && std::env::var("SKIA_VERBOSE").is_ok() {
+        if !self.quiet && verbose() {
             for (i, (job, &g)) in self.jobs.iter().zip(&group).enumerate() {
                 eprintln!(
                     "sweep[{i}]: {} {} steps in {:.3}s{}",
@@ -1066,19 +1065,17 @@ mod tests {
     }
 
     #[test]
-    fn steps_knob_accepts_only_positive_integers() {
-        assert_eq!(parse_steps("2000"), Ok(2000));
-        for junk in ["junk", "0", "", "-5", "1e5", " 2000"] {
-            let err = parse_steps(junk).expect_err(junk);
-            assert!(err.contains("SKIA_STEPS"), "{err}");
-        }
-    }
-
-    #[test]
     fn args_names_mode_collects_positionals() {
         let argv: Vec<String> = vec!["tpcc".into(), "voter".into()];
         let a = Args::parse_from(&argv, true).unwrap();
         assert_eq!(a.names, vec!["tpcc", "voter"]);
+        let argv: Vec<String> = vec!["tpcc".into(), "nonesuch".into()];
+        let err = Args::parse_from(&argv, true).unwrap_err();
+        assert!(
+            err.starts_with("nonesuch: unknown benchmark (known: "),
+            "{err}"
+        );
+        assert!(err.contains("tpcc"), "lists the known names: {err}");
     }
 
     #[test]

@@ -50,25 +50,30 @@ fn every_table_counter_reaches_the_snapshot_with_its_stats_value() {
         "SBB exercised"
     );
     let mut names = BTreeSet::new();
-    for (name, v) in stats.named_counters() {
-        assert_eq!(snap.counter(name), Some(v), "{name}");
-        names.insert(name);
-    }
-    assert_eq!(names.len(), 23, "23 distinct scalar counter names");
+    stats.for_each_counter(|name, v| {
+        let name = name.to_string();
+        assert_eq!(snap.counter(&name), Some(v), "{name}");
+        assert!(names.insert(name.clone()), "{name} visited twice");
+    });
+    assert_eq!(names.len(), 64, "64 distinct counter names");
     for kind in BranchKind::ALL {
         let name = btb_miss_kind_name(kind);
+        assert!(names.contains(name), "{name} visited");
         assert_eq!(
             snap.counter(name),
             Some(stats.btb_misses_of(kind)),
             "{kind:?}"
         );
-        assert!(names.insert(name), "{name} collides with a scalar counter");
     }
     assert_eq!(snap.counter("sim.cycles"), Some(stats.cycles));
     assert_eq!(snap.gauge("sim.ipc"), Some(stats.ipc()));
     assert_eq!(
         snap.gauge("sim.mean_ftq_occupancy"),
         Some(stats.mean_ftq_occupancy)
+    );
+    assert_eq!(
+        snap.gauge("skia.bogus_rate"),
+        stats.skia.map(|s| s.bogus_rate())
     );
     assert!(snap.histogram("ftq.occupancy").is_some_and(|h| h.count > 0));
 }

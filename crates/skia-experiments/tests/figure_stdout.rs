@@ -153,3 +153,71 @@ fn junk_sampling_knob_fails_loudly() {
         );
     }
 }
+
+/// Run `exe args…` at a tiny budget with one extra variable set, and
+/// check that it exits 2 with nothing on stdout and `expect` on stderr.
+fn assert_fails_loudly(exe: &str, args: &[&str], var: (&str, &str), expect: &str) {
+    let out = Command::new(exe)
+        .args(args)
+        .env("SKIA_STEPS", "2000")
+        .env("SKIA_CACHE", "0")
+        .env(var.0, var.1)
+        .output()
+        .expect("binary spawns");
+    let what = format!("{exe} {args:?} with {}={}", var.0, var.1);
+    assert_eq!(out.status.code(), Some(2), "{what}");
+    assert!(out.stdout.is_empty(), "no table printed: {what}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains(expect),
+        "{what}: stderr lacks {expect:?}: {err}"
+    );
+}
+
+/// The remaining knobs follow the same rule: junk in `SKIA_POLICY` (which
+/// used to run `first` silently), `SKIA_VERBOSE` (where any value, `0`
+/// included, turned verbose output on) and `SKIA_SPANS` (which fell back
+/// to the default) exits 2 naming it.
+#[test]
+fn junk_policy_verbose_and_spans_knobs_fail_loudly() {
+    let calibrate = env!("CARGO_BIN_EXE_calibrate");
+    for (exe, args, var, expect) in [
+        (
+            calibrate,
+            &["tpcc"][..],
+            ("SKIA_POLICY", "Zero"),
+            "error: SKIA_POLICY=\"Zero\": not first, zero or merge",
+        ),
+        (
+            calibrate,
+            &["tpcc"],
+            ("SKIA_VERBOSE", "junk"),
+            "error: SKIA_VERBOSE=\"junk\": not a boolean",
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig01"),
+            &[],
+            ("SKIA_SPANS", "maybe"),
+            "error: SKIA_SPANS=\"maybe\": not a boolean",
+        ),
+    ] {
+        assert_fails_loudly(exe, args, var, expect);
+    }
+}
+
+/// A positional benchmark name is checked like `--bench`: an unknown one
+/// exits 2 listing the known names instead of panicking mid-run.
+#[test]
+fn unknown_positional_benchmark_is_rejected() {
+    for exe in [
+        env!("CARGO_BIN_EXE_calibrate"),
+        env!("CARGO_BIN_EXE_coverage_probe"),
+    ] {
+        assert_fails_loudly(
+            exe,
+            &["tpcc", "nonesuch"],
+            ("SKIA_THREADS", "1"),
+            "error: nonesuch: unknown benchmark (known: ",
+        );
+    }
+}

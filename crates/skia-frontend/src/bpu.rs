@@ -166,12 +166,6 @@ impl<'p> Bpu<'p> {
         self.btb.probe(pc).is_some()
     }
 
-    /// Was the branch at `pc` resident in the SBB (no state change)?
-    #[must_use]
-    pub fn sbb_resident(&self, pc: u64) -> bool {
-        self.skia.as_ref().is_some_and(|s| s.probe(pc).is_some())
-    }
-
     /// Form one predicted basic block from the speculative PC and advance it.
     pub fn predict_block(&mut self) -> PredictedBlock {
         let start = self.spec_pc;

@@ -264,8 +264,13 @@ impl<'p> Simulator<'p> {
     /// the histogram's windowed (sum, count) difference. With an all-zero
     /// baseline this is `finalize` exactly.
     fn finalize_measured(&mut self, base: &MeasureBase) -> SimStats {
-        let now = self.stats();
-        let mut stats = crate::sampling::sim_stats_delta(&now, &base.prior);
+        let mut stats = self.stats();
+        if stats.skia.is_some() != base.prior.skia.is_some() {
+            unreachable!("Skia attachment cannot change mid-run");
+        }
+        // Both come from the same monotone counters, so plain subtraction
+        // doubles as an underflow check on that invariant.
+        stats.zip_counters(&base.prior, &mut |_, now, prior| *now -= prior);
         let retire_floor = stats
             .instructions
             .div_ceil(u64::from(self.config.retire_width));

@@ -4,25 +4,71 @@
 //! [`LocalHistogram`]s on its hot path. Nothing is shared or flushed while
 //! it runs: [`SimStats::register_into`] (and the crate-private
 //! `SimHistograms::register_into`) write the values into a
-//! [`MetricRegistry`] when a snapshot is taken — the pull model that
-//! `CacheStats` and `SkiaStats` use too.
+//! [`MetricRegistry`] when a snapshot is taken (the pull model).
 //!
-//! The single source of truth for the counter names is the
-//! `for_each_sim_counter!` field↔name table below, so the registry
-//! snapshot and the stats struct can never drift apart.
+//! The one list of the simulator's counters is [`SimStats::zip_counters`]:
+//! every snapshot name, slice delta, sampled estimate and oracle report is
+//! derived from it, so the registry snapshot and the stats struct can never
+//! drift apart.
 
+use skia_core::SkiaStats;
 use skia_isa::BranchKind;
-use skia_telemetry::{EventKind, EventTrace, Histogram, LocalHistogram, MetricRegistry};
+use skia_telemetry::{
+    CounterName, EventKind, EventTrace, Histogram, LocalHistogram, MetricRegistry,
+};
 
 use crate::stats::SimStats;
 
-/// Apply a macro to every `(SimStats u64 field, metric name)` pair.
-///
-/// `cycles` is included even though it is computed (not incremented): the
-/// simulator sets it during finalization so the snapshot carries it too.
-macro_rules! for_each_sim_counter {
-    ($apply:ident) => {
-        $apply! {
+impl SimStats {
+    /// Visit every counter of `self` beside the same counter of `other`,
+    /// with its metric name — the one list of `SimStats` counters, behind
+    /// [`SimStats::register_into`], the slice deltas of
+    /// [`crate::Simulator::run_slice`], the weighted sum of
+    /// [`crate::run_plan`] and the oracle's field report.
+    ///
+    /// The scalars and the per-kind BTB misses are named in full (their
+    /// scope is empty); the visit then recurses into the three cache levels
+    /// and Skia. When `other` carries Skia counters and `self` does not, `self`
+    /// gets zeroed ones first (so visiting against a default reaches every
+    /// counter); Skia counters on `self` alone are left untouched.
+    /// `mean_ftq_occupancy` is a mean, not a counter: callers handle it.
+    /// The full destructure (no `..`) makes a new field fail to compile
+    /// until it is listed here.
+    ///
+    /// `cycles` is listed although the simulator computes it at
+    /// finalization rather than counting it, so snapshots and estimates
+    /// carry it too.
+    #[inline]
+    pub fn zip_counters(
+        &mut self,
+        other: &SimStats,
+        f: &mut impl FnMut(CounterName<'_>, &mut u64, u64),
+    ) {
+        macro_rules! visit {
+            ($(($field:ident, $name:literal)),+ $(,)?) => {
+                let SimStats {
+                    $($field,)+
+                    btb_misses_by_kind,
+                    l1i,
+                    l2,
+                    l3,
+                    skia,
+                    mean_ftq_occupancy: _,
+                } = self;
+                $( f(CounterName { scope: "", leaf: $name }, $field, other.$field); )+
+                let kinds = btb_misses_by_kind.iter_mut().zip(&other.btb_misses_by_kind);
+                for (&kind, (a, &b)) in BranchKind::ALL.iter().zip(kinds) {
+                    f(CounterName { scope: "", leaf: btb_miss_kind_name(kind) }, a, b);
+                }
+                l1i.zip_counters(&other.l1i, "l1i", f);
+                l2.zip_counters(&other.l2, "l2", f);
+                l3.zip_counters(&other.l3, "l3", f);
+                if let Some(o) = &other.skia {
+                    skia.get_or_insert_with(SkiaStats::default).zip_counters(o, f);
+                }
+            };
+        }
+        visit! {
             (instructions, "sim.instructions"),
             (cycles, "sim.cycles"),
             (branches, "sim.branches"),
@@ -47,43 +93,25 @@ macro_rules! for_each_sim_counter {
             (wrong_path_blocks, "wrong_path.blocks"),
             (wrong_path_prefetches, "wrong_path.prefetches"),
         }
-    };
-}
+    }
 
-macro_rules! define_named_counters {
-    ($(($field:ident, $name:literal)),+ $(,)?) => {
-        impl SimStats {
-            /// Every scalar `u64` counter with its metric name, in table
-            /// order (the per-kind BTB misses are named by
-            /// [`btb_miss_kind_name`]).
-            pub fn named_counters(&self) -> impl Iterator<Item = (&'static str, u64)> {
-                [$(($name, self.$field)),+].into_iter()
-            }
-        }
-    };
-}
-for_each_sim_counter!(define_named_counters);
+    /// Every counter — scalars, per-kind BTB misses, caches and Skia —
+    /// with its metric name and value, in [`SimStats::zip_counters`] order.
+    pub fn for_each_counter(&self, mut f: impl FnMut(CounterName<'_>, u64)) {
+        SimStats::default().zip_counters(self, &mut |name, _, v| f(name, v));
+    }
 
-impl SimStats {
-    /// Write every counter — the scalar table, the per-kind BTB misses,
-    /// the cache levels and Skia — plus the `sim.mean_ftq_occupancy` and
-    /// `sim.ipc` gauges into `reg`. Values are set, not added, so writing
-    /// the same stats twice leaves the registry unchanged.
+    /// Write every counter plus the `sim.mean_ftq_occupancy`, `sim.ipc`
+    /// and (with Skia) `skia.bogus_rate` gauges into `reg`. Values are set,
+    /// not added, so writing the same stats twice leaves the registry
+    /// unchanged.
     pub fn register_into(&self, reg: &mut MetricRegistry) {
-        for (name, v) in self.named_counters() {
-            reg.set_counter(name, v);
-        }
-        for (&kind, &v) in BranchKind::ALL.iter().zip(&self.btb_misses_by_kind) {
-            reg.set_counter(btb_miss_kind_name(kind), v);
-        }
-        self.l1i.register_into(reg, "l1i");
-        self.l2.register_into(reg, "l2");
-        self.l3.register_into(reg, "l3");
-        if let Some(skia) = &self.skia {
-            skia.register_into(reg);
-        }
+        self.for_each_counter(|name, v| reg.set_counter(&name.to_string(), v));
         reg.set_gauge("sim.mean_ftq_occupancy", self.mean_ftq_occupancy);
         reg.set_gauge("sim.ipc", self.ipc());
+        if let Some(skia) = &self.skia {
+            reg.set_gauge("skia.bogus_rate", skia.bogus_rate());
+        }
     }
 }
 
@@ -151,5 +179,129 @@ impl FrontendTelemetry {
         if let Some(t) = &self.trace {
             t.record(cycle, kind, pc, arg);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeSet;
+
+    use skia_core::{SbbStats, ShadowDecoderStats};
+    use skia_uarch::cache::CacheStats;
+
+    use super::*;
+
+    /// A `SimStats` with Skia attached whose every `u64` — nested ones
+    /// included — is distinct: `base + 1`, `base + 2`, … in field order.
+    /// Struct literals without `..` so a new field fails to compile here.
+    fn numbered(base: u64) -> SimStats {
+        let mut n = base;
+        let mut next = || {
+            n += 1;
+            n
+        };
+        let mut cache = || CacheStats {
+            demand_hits: next(),
+            demand_misses: next(),
+            prefetch_hits: next(),
+            prefetch_misses: next(),
+            evictions: next(),
+            polluting_fills: next(),
+        };
+        let (l1i, l2, l3) = (cache(), cache(), cache());
+        SimStats {
+            instructions: next(),
+            cycles: next(),
+            branches: next(),
+            taken_branches: next(),
+            btb_misses: next(),
+            btb_misses_by_kind: [next(), next(), next(), next(), next(), next()],
+            btb_miss_l1i_resident: next(),
+            btb_miss_taken: next(),
+            btb_miss_rescuable: next(),
+            sbb_rescues: next(),
+            rescuable_seen_before: next(),
+            decode_resteers: next(),
+            exec_resteers: next(),
+            bogus_resteers: next(),
+            cond_branches: next(),
+            cond_mispredicts: next(),
+            indirect_branches: next(),
+            indirect_mispredicts: next(),
+            return_mispredicts: next(),
+            idle_icache_cycles: next(),
+            idle_resteer_cycles: next(),
+            decode_busy_cycles: next(),
+            wrong_path_blocks: next(),
+            wrong_path_prefetches: next(),
+            l1i,
+            l2,
+            l3,
+            skia: Some(SkiaStats {
+                sbd: ShadowDecoderStats {
+                    head_regions: next(),
+                    head_regions_valid: next(),
+                    head_regions_discarded: next(),
+                    tail_regions: next(),
+                    head_branches: next(),
+                    tail_branches: next(),
+                    valid_path_sum: next(),
+                },
+                sbb: SbbStats {
+                    u_hits: next(),
+                    r_hits: next(),
+                    lookups: next(),
+                    u_inserts: next(),
+                    r_inserts: next(),
+                    retirements: next(),
+                    evicted_unretired: next(),
+                },
+                filtered_known: next(),
+                bogus_uses: next(),
+                useful_uses: next(),
+            }),
+            mean_ftq_occupancy: 0.5,
+        }
+    }
+
+    /// 23 scalars, 6 per-kind misses, 3 × 6 cache and 17 Skia counters.
+    const COUNTERS: u64 = 64;
+
+    #[test]
+    fn visitor_reaches_every_counter_once_under_a_distinct_name() {
+        let stats = numbered(0);
+        let mut values = BTreeSet::new();
+        let mut names = BTreeSet::new();
+        stats.for_each_counter(|name, v| {
+            assert!(values.insert(v), "{name}: value {v} visited twice");
+            assert!(names.insert(name.to_string()), "{name} named twice");
+        });
+        assert_eq!(values, (1..=COUNTERS).collect(), "every u64 reached");
+    }
+
+    #[test]
+    fn visitor_pairs_the_same_field_of_both_values() {
+        let mut now = numbered(1000);
+        let base = numbered(0);
+        let mut pairs = 0;
+        now.zip_counters(&base, &mut |name, n, b| {
+            assert_eq!(*n, b + 1000, "{name}");
+            *n -= b;
+            pairs += 1;
+        });
+        assert_eq!(pairs, COUNTERS);
+        now.for_each_counter(|name, v| assert_eq!(v, 1000, "{name} subtracted"));
+        assert_eq!(now.mean_ftq_occupancy, 0.5, "the mean is not a counter");
+    }
+
+    #[test]
+    fn visiting_a_default_attaches_skia_only_from_the_other_side() {
+        let with = numbered(0);
+        let mut est = SimStats::default();
+        est.zip_counters(&with, &mut |_, e, v| *e += v);
+        assert_eq!(est.skia, with.skia, "zeroed Skia inserted, then summed");
+        let mut kept = numbered(0);
+        kept.zip_counters(&SimStats::default(), &mut |_, k, _| *k = 0);
+        assert_eq!(kept.skia, with.skia, "Skia on self alone is untouched");
     }
 }

@@ -134,21 +134,34 @@ impl FuzzConfig {
     /// - the corpus persists under `<cache root>/fuzz-corpus/<target>`,
     ///   honoring `SKIA_CACHE` exactly like the program/trace caches
     ///   (disabled cache → in-memory corpus).
+    ///
+    /// The three numbers are [`skia_runner::unsigned`] knobs: junk exits 2
+    /// naming it instead of silently fuzzing with the default.
     #[must_use]
     pub fn from_env(target: &str, default_iters: u64) -> FuzzConfig {
-        let parse = |var: &str| {
-            std::env::var(var)
-                .ok()
-                .and_then(|v| v.trim().parse::<u64>().ok())
-        };
-        FuzzConfig {
-            seed: parse("SKIA_FUZZ_SEED").unwrap_or(0x5F3A_F022),
-            iters: parse("SKIA_FUZZ_ITERS").unwrap_or(default_iters),
-            time_budget: parse("SKIA_FUZZ_MILLIS").map(Duration::from_millis),
+        skia_runner::or_exit(Self::from_vars(
+            &skia_runner::env_var,
+            target,
+            default_iters,
+        ))
+    }
+
+    /// The testable core of [`FuzzConfig::from_env`], reading the knobs
+    /// through `var`.
+    fn from_vars(
+        var: &impl Fn(&str) -> Option<String>,
+        target: &str,
+        default_iters: u64,
+    ) -> Result<FuzzConfig, String> {
+        use skia_runner::unsigned;
+        Ok(FuzzConfig {
+            seed: unsigned(var, "SKIA_FUZZ_SEED")?.unwrap_or(0x5F3A_F022),
+            iters: unsigned(var, "SKIA_FUZZ_ITERS")?.unwrap_or(default_iters),
+            time_budget: unsigned(var, "SKIA_FUZZ_MILLIS")?.map(Duration::from_millis),
             corpus_dir: skia_workloads::cache_root()
                 .map(|root| root.join("fuzz-corpus").join(target)),
             shrink_budget: 300,
-        }
+        })
     }
 }
 
@@ -347,5 +360,27 @@ pub fn replay_with<T: FuzzTarget>(target: &mut T, body: &str) -> Result<(), Stri
     match target.run(&input).failure {
         Some(detail) => Err(detail),
         None => Ok(()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::FuzzConfig;
+
+    #[test]
+    fn fuzz_knobs_parse_or_name_the_junk() {
+        let var = |name: &str| match name {
+            "SKIA_FUZZ_SEED" => Some("7".to_string()),
+            "SKIA_FUZZ_MILLIS" => Some("250".to_string()),
+            _ => None,
+        };
+        let cfg = FuzzConfig::from_vars(&var, "t", 40).expect("valid knobs");
+        assert_eq!((cfg.seed, cfg.iters), (7, 40));
+        assert_eq!(cfg.time_budget, Some(std::time::Duration::from_millis(250)));
+        let junk = |name: &str| (name == "SKIA_FUZZ_ITERS").then(|| "lots".to_string());
+        assert_eq!(
+            FuzzConfig::from_vars(&junk, "t", 40).map(|c| c.iters),
+            Err("SKIA_FUZZ_ITERS=\"lots\": not an unsigned integer".to_string())
+        );
     }
 }

@@ -229,54 +229,28 @@ impl fmt::Display for DivergenceReport {
     }
 }
 
-/// List every `SimStats` field on which the two runs disagree.
+/// List every `SimStats` counter (by metric name), the Skia attachment and
+/// the FTQ mean on which the two runs disagree.
 fn diff_stats(real: &SimStats, oracle: &SimStats) -> Vec<String> {
     let mut diffs = Vec::new();
-    macro_rules! cmp {
-        ($($field:ident),+ $(,)?) => {
-            $(
-                if real.$field != oracle.$field {
-                    diffs.push(format!(
-                        "{}: real {:?} vs oracle {:?}",
-                        stringify!($field),
-                        real.$field,
-                        oracle.$field
-                    ));
-                }
-            )+
-        };
+    if real.skia.is_some() != oracle.skia.is_some() {
+        diffs.push(format!(
+            "skia attached: real {} vs oracle {}",
+            real.skia.is_some(),
+            oracle.skia.is_some()
+        ));
     }
-    cmp!(
-        instructions,
-        cycles,
-        branches,
-        taken_branches,
-        btb_misses,
-        btb_misses_by_kind,
-        btb_miss_l1i_resident,
-        btb_miss_taken,
-        btb_miss_rescuable,
-        sbb_rescues,
-        rescuable_seen_before,
-        decode_resteers,
-        exec_resteers,
-        bogus_resteers,
-        cond_branches,
-        cond_mispredicts,
-        indirect_branches,
-        indirect_mispredicts,
-        return_mispredicts,
-        idle_icache_cycles,
-        idle_resteer_cycles,
-        decode_busy_cycles,
-        wrong_path_blocks,
-        wrong_path_prefetches,
-        l1i,
-        l2,
-        l3,
-        skia,
-        mean_ftq_occupancy,
-    );
+    real.clone().zip_counters(oracle, &mut |name, r, o| {
+        if *r != o {
+            diffs.push(format!("{name}: real {r} vs oracle {o}"));
+        }
+    });
+    if real.mean_ftq_occupancy != oracle.mean_ftq_occupancy {
+        diffs.push(format!(
+            "mean_ftq_occupancy: real {:?} vs oracle {:?}",
+            real.mean_ftq_occupancy, oracle.mean_ftq_occupancy
+        ));
+    }
     diffs
 }
 

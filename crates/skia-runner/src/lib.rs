@@ -14,9 +14,10 @@
 //! ones); each worker writes results into its job's pre-allocated slot, so
 //! collection order is the submission order by construction.
 //!
-//! Thread-count resolution (`--threads` flag > `SKIA_THREADS` env var >
-//! [`std::thread::available_parallelism`]) lives here too so every binary
-//! resolves it identically.
+//! The environment knobs are resolved here too, through one parse rule
+//! ([`knob`], named as [`positive`], [`unsigned`] and [`flag`]), so every
+//! binary and the fuzzer read
+//! them identically and junk in any of them exits 2 naming it.
 
 #![forbid(unsafe_code)]
 
@@ -24,39 +25,112 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Resolve the worker-thread count for a sweep.
-///
-/// Priority: an explicit `flag` (from `--threads`) wins; otherwise the
-/// `SKIA_THREADS` environment variable; otherwise
-/// [`std::thread::available_parallelism`]. Always at least 1.
-///
-/// A set but unusable `SKIA_THREADS` (not a positive integer) exits with
-/// status 2 and an error naming it — the `SKIA_STEPS` rule: a typo must
-/// not silently pick a different thread count.
+/// What a count knob must be: `SKIA_STEPS`, `SKIA_THREADS`,
+/// `SKIA_SAMPLE_INTERVAL`, `SKIA_SAMPLE_K`.
+pub const POSITIVE: &str = "a positive integer";
+
+/// What a seed or an optional budget knob must be.
+pub const UNSIGNED: &str = "an unsigned integer";
+
+/// A knob's raw value from the process environment: `None` when unset,
+/// the (lossily decoded) value otherwise. Pass `&env_var` as the `var` of
+/// [`knob`] and [`flag`].
 #[must_use]
-pub fn thread_count(flag: Option<usize>) -> usize {
-    if let Some(n) = flag {
-        return n.max(1);
-    }
-    let raw = match std::env::var("SKIA_THREADS") {
-        Err(std::env::VarError::NotPresent) => {
-            return std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+pub fn env_var(name: &str) -> Option<String> {
+    std::env::var_os(name).map(|v| v.to_string_lossy().into_owned())
+}
+
+/// The one parse rule of every `SKIA_*` knob: `var(name)` (the raw value,
+/// `None` when unset) parsed as a `T` that `ok` accepts, or an error
+/// `NAME="raw": not <what>` naming the junk. Callers on the process
+/// environment hand the error to [`or_exit`]: a typo must not silently run
+/// something else.
+///
+/// # Errors
+///
+/// The set value does not parse as a `T`, or `ok` rejects it.
+pub fn knob<T: std::str::FromStr>(
+    var: &impl Fn(&str) -> Option<String>,
+    name: &str,
+    what: &str,
+    ok: impl Fn(&T) -> bool,
+) -> Result<Option<T>, String> {
+    var(name)
+        .map(|raw| match raw.parse::<T>() {
+            Ok(v) if ok(&v) => Ok(v),
+            _ => Err(format!("{name}={raw:?}: not {what}")),
+        })
+        .transpose()
+}
+
+/// A boolean knob through [`knob`]: `1`/`true`/`on` or `0`/`false`/`off`/
+/// empty, in any ASCII case.
+///
+/// # Errors
+///
+/// Any other set value.
+pub fn flag(var: &impl Fn(&str) -> Option<String>, name: &str) -> Result<Option<bool>, String> {
+    struct Switch(bool);
+    impl std::str::FromStr for Switch {
+        type Err = ();
+        fn from_str(raw: &str) -> Result<Switch, ()> {
+            match raw.to_ascii_lowercase().as_str() {
+                "1" | "true" | "on" => Ok(Switch(true)),
+                "0" | "false" | "off" | "" => Ok(Switch(false)),
+                _ => Err(()),
+            }
         }
-        Err(std::env::VarError::NotUnicode(v)) => v.to_string_lossy().into_owned(),
-        Ok(v) => v,
-    };
-    parse_threads(&raw).unwrap_or_else(|msg| {
+    }
+    Ok(knob(var, name, "a boolean", |_: &Switch| true)?.map(|s| s.0))
+}
+
+/// A count knob through [`knob`]: a [`POSITIVE`] `usize`.
+///
+/// # Errors
+///
+/// The set value is not a positive integer.
+pub fn positive(
+    var: &impl Fn(&str) -> Option<String>,
+    name: &str,
+) -> Result<Option<usize>, String> {
+    knob(var, name, POSITIVE, |&n: &usize| n > 0)
+}
+
+/// A seed or budget knob through [`knob`]: an [`UNSIGNED`] integer, zero
+/// allowed.
+///
+/// # Errors
+///
+/// The set value is not an unsigned integer of type `T`.
+pub fn unsigned<T: std::str::FromStr>(
+    var: &impl Fn(&str) -> Option<String>,
+    name: &str,
+) -> Result<Option<T>, String> {
+    knob(var, name, UNSIGNED, |_: &T| true)
+}
+
+/// Unwrap a resolved knob, or print `error: <msg>` to stderr and exit with
+/// status 2 — junk in a knob is as fatal as an unknown command-line flag.
+pub fn or_exit<T>(resolved: Result<T, String>) -> T {
+    resolved.unwrap_or_else(|msg| {
         eprintln!("error: {msg}");
         std::process::exit(2);
     })
 }
 
-/// The testable core of [`thread_count`]'s `SKIA_THREADS` rule.
-fn parse_threads(raw: &str) -> Result<usize, String> {
-    match raw.parse::<usize>() {
-        Ok(n) if n > 0 => Ok(n),
-        _ => Err(format!("SKIA_THREADS={raw:?}: not a positive integer")),
+/// Resolve the worker-thread count for a sweep.
+///
+/// Priority: an explicit `flag` (from `--threads`) wins; otherwise the
+/// `SKIA_THREADS` environment variable, a [`positive`] knob; otherwise
+/// [`std::thread::available_parallelism`]. Always at least 1.
+#[must_use]
+pub fn thread_count(flag: Option<usize>) -> usize {
+    if let Some(n) = flag {
+        return n.max(1);
     }
+    or_exit(positive(&env_var, "SKIA_THREADS")).unwrap_or_else(|| {
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    })
 }
 
 /// Phase-sampling knobs resolved from the environment, dependency-free so
@@ -79,53 +153,24 @@ pub struct SamplingEnv {
     pub seed: Option<u64>,
 }
 
-/// Resolve the sampling knobs from `SKIA_SAMPLE*` environment variables.
-///
-/// A set but unusable value exits with status 2 and an error naming it —
-/// the `SKIA_THREADS` rule: a typo must not silently run a different plan
-/// (or silently run unsampled).
+/// Resolve the sampling knobs from `SKIA_SAMPLE*` environment variables;
+/// junk exits through [`or_exit`], even with sampling off.
 #[must_use]
 pub fn sampling_env() -> SamplingEnv {
-    let var = |name: &str| std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
-    parse_sampling(var).unwrap_or_else(|msg| {
-        eprintln!("error: {msg}");
-        std::process::exit(2);
-    })
+    or_exit(parse_sampling(&env_var))
 }
 
-/// The testable core of [`sampling_env`]: resolve every knob from `var`
-/// (a variable's raw value, `None` when unset), or name the first junk
-/// one. `SKIA_SAMPLE` is a boolean (`1`/`true`/`on` or `0`/`false`/`off`/
-/// empty); `SKIA_SAMPLE_INTERVAL` and `SKIA_SAMPLE_K` are positive
-/// integers; `SKIA_SAMPLE_WARMUP` (zero allowed) and `SKIA_SAMPLE_SEED` are
-/// unsigned integers.
-fn parse_sampling(var: impl Fn(&str) -> Option<String>) -> Result<SamplingEnv, String> {
-    fn knob<T: std::str::FromStr>(
-        var: &impl Fn(&str) -> Option<String>,
-        name: &str,
-        what: &str,
-        ok: impl Fn(&T) -> bool,
-    ) -> Result<Option<T>, String> {
-        var(name)
-            .map(|raw| match raw.parse::<T>() {
-                Ok(v) if ok(&v) => Ok(v),
-                _ => Err(format!("{name}={raw:?}: not {what}")),
-            })
-            .transpose()
-    }
-    let enabled = match var("SKIA_SAMPLE").as_deref() {
-        None | Some("0" | "" | "false" | "off") => false,
-        Some("1" | "true" | "on") => true,
-        Some(raw) => return Err(format!("SKIA_SAMPLE={raw:?}: not a boolean")),
-    };
-    let positive = "a positive integer";
-    let unsigned = "an unsigned integer";
+/// The testable core of [`sampling_env`]: `SKIA_SAMPLE` is a [`flag`];
+/// `SKIA_SAMPLE_INTERVAL` and `SKIA_SAMPLE_K` are [`positive`];
+/// `SKIA_SAMPLE_WARMUP` (zero allowed) and `SKIA_SAMPLE_SEED` are
+/// [`unsigned`].
+fn parse_sampling(var: &impl Fn(&str) -> Option<String>) -> Result<SamplingEnv, String> {
     Ok(SamplingEnv {
-        enabled,
-        interval: knob(&var, "SKIA_SAMPLE_INTERVAL", positive, |&n: &usize| n > 0)?,
-        k: knob(&var, "SKIA_SAMPLE_K", positive, |&n: &usize| n > 0)?,
-        warmup: knob(&var, "SKIA_SAMPLE_WARMUP", unsigned, |_: &usize| true)?,
-        seed: knob(&var, "SKIA_SAMPLE_SEED", unsigned, |_: &u64| true)?,
+        enabled: flag(var, "SKIA_SAMPLE")?.unwrap_or(false),
+        interval: positive(var, "SKIA_SAMPLE_INTERVAL")?,
+        k: positive(var, "SKIA_SAMPLE_K")?,
+        warmup: unsigned(var, "SKIA_SAMPLE_WARMUP")?,
+        seed: unsigned(var, "SKIA_SAMPLE_SEED")?,
     })
 }
 
@@ -337,75 +382,86 @@ mod tests {
         assert_eq!(thread_count(Some(0)), 1, "zero clamps to one");
     }
 
-    #[test]
-    fn threads_knob_accepts_only_positive_integers() {
-        assert_eq!(parse_threads("4"), Ok(4));
-        for junk in ["junk", "0", "", "-2", " 4"] {
-            let err = parse_threads(junk).expect_err(junk);
-            assert_eq!(
-                err,
-                format!("SKIA_THREADS={junk:?}: not a positive integer")
-            );
+    /// A variable lookup over a fixed list (mutating the real environment
+    /// would race other tests in this process).
+    fn vars<'a>(list: &'a [(&str, &str)]) -> impl Fn(&str) -> Option<String> + 'a {
+        move |name| {
+            list.iter()
+                .find(|(n, _)| *n == name)
+                .map(|(_, v)| (*v).to_string())
         }
     }
 
-    /// Resolve the sampling knobs from a fixed variable list (mutating the
-    /// real environment would race other tests in this process).
-    fn sampling(vars: &[(&str, &str)]) -> Result<SamplingEnv, String> {
-        parse_sampling(|name| {
-            vars.iter()
-                .find(|(n, _)| *n == name)
-                .map(|(_, v)| (*v).to_string())
-        })
-    }
-
+    /// Every knob's rule in one table: a raw value and what it resolves to
+    /// (`Debug` of the value) or the junk error's `not …` tail.
     #[test]
-    fn sampling_knobs_parse_or_name_the_junk() {
-        assert_eq!(sampling(&[]), Ok(SamplingEnv::default()));
+    fn knobs_parse_or_name_the_junk() {
+        let count =
+            |name: &str, raw: &str| positive(&vars(&[(name, raw)]), name).map(|v| format!("{v:?}"));
+        let number = |name: &str, raw: &str| {
+            unsigned::<u64>(&vars(&[(name, raw)]), name).map(|v| format!("{v:?}"))
+        };
+        let boolean =
+            |name: &str, raw: &str| flag(&vars(&[(name, raw)]), name).map(|v| format!("{v:?}"));
+        let sampling =
+            |name: &str, raw: &str| parse_sampling(&vars(&[(name, raw)])).map(|e| format!("{e:?}"));
+        type Rule<'a> = &'a dyn Fn(&str, &str) -> Result<String, String>;
+        let table: [(Rule, &str, &str, Result<&str, &str>); 31] = [
+            (&count, "SKIA_STEPS", "2000", Ok("Some(2000)")),
+            (&count, "SKIA_STEPS", "junk", Err(POSITIVE)),
+            (&count, "SKIA_STEPS", "0", Err(POSITIVE)),
+            (&count, "SKIA_STEPS", "-5", Err(POSITIVE)),
+            (&count, "SKIA_STEPS", "1e5", Err(POSITIVE)),
+            (&count, "SKIA_STEPS", " 2000", Err(POSITIVE)),
+            (&count, "SKIA_THREADS", "4", Ok("Some(4)")),
+            (&count, "SKIA_THREADS", "", Err(POSITIVE)),
+            (&count, "SKIA_THREADS", "-2", Err(POSITIVE)),
+            (&number, "SKIA_FUZZ_SEED", "0", Ok("Some(0)")),
+            (&number, "SKIA_FUZZ_ITERS", "5000", Ok("Some(5000)")),
+            (&number, "SKIA_FUZZ_MILLIS", "30s", Err(UNSIGNED)),
+            (&number, "SKIA_FUZZ_SEED", "-1", Err(UNSIGNED)),
+            (&boolean, "SKIA_VERBOSE", "1", Ok("Some(true)")),
+            (&boolean, "SKIA_VERBOSE", "0", Ok("Some(false)")),
+            (&boolean, "SKIA_SPANS", "ON", Ok("Some(true)")),
+            (&boolean, "SKIA_SPANS", "off", Ok("Some(false)")),
+            (&boolean, "SKIA_VERBOSE", "", Ok("Some(false)")),
+            (&boolean, "SKIA_SPANS", "yes", Err("a boolean")),
+            (&boolean, "SKIA_VERBOSE", "2", Err("a boolean")),
+            (&sampling, "SKIA_SAMPLE", "true", Ok("SamplingEnv { enabled: true, interval: None, k: None, warmup: None, seed: None }")),
+            (&sampling, "SKIA_SAMPLE", "off", Ok("SamplingEnv { enabled: false, interval: None, k: None, warmup: None, seed: None }")),
+            (&sampling, "SKIA_SAMPLE", "yes", Err("a boolean")),
+            (&sampling, "SKIA_SAMPLE_INTERVAL", "0", Err(POSITIVE)),
+            (&sampling, "SKIA_SAMPLE_K", "0", Err(POSITIVE)),
+            (&sampling, "SKIA_SAMPLE_K", "three", Err(POSITIVE)),
+            (&sampling, "SKIA_SAMPLE_K", "", Err(POSITIVE)),
+            (&sampling, "SKIA_SAMPLE_WARMUP", "0", Ok("SamplingEnv { enabled: false, interval: None, k: None, warmup: Some(0), seed: None }")),
+            (&sampling, "SKIA_SAMPLE_WARMUP", "-1", Err(UNSIGNED)),
+            (&sampling, "SKIA_SAMPLE_SEED", "ninety", Err(UNSIGNED)),
+            (&sampling, "SKIA_UNRELATED", "junk", Ok("SamplingEnv { enabled: false, interval: None, k: None, warmup: None, seed: None }")),
+        ];
+        for (rule, name, raw, want) in table {
+            let want = want
+                .map(str::to_string)
+                .map_err(|what| format!("{name}={raw:?}: not {what}"));
+            assert_eq!(rule(name, raw), want, "{name}={raw:?}");
+        }
+        assert_eq!(flag(&vars(&[]), "SKIA_VERBOSE"), Ok(None), "unset");
         assert_eq!(
-            sampling(&[
+            parse_sampling(&vars(&[
                 ("SKIA_SAMPLE", "1"),
                 ("SKIA_SAMPLE_INTERVAL", "8000"),
                 ("SKIA_SAMPLE_K", "5"),
                 ("SKIA_SAMPLE_WARMUP", "0"),
                 ("SKIA_SAMPLE_SEED", "99"),
-            ]),
+            ])),
             Ok(SamplingEnv {
                 enabled: true,
                 interval: Some(8000),
                 k: Some(5),
                 warmup: Some(0),
                 seed: Some(99),
-            }),
-            "warmup may be zero"
+            })
         );
-        for (on, want) in [
-            ("true", true),
-            ("on", true),
-            ("0", false),
-            ("off", false),
-            ("", false),
-        ] {
-            assert_eq!(
-                sampling(&[("SKIA_SAMPLE", on)]).map(|e| e.enabled),
-                Ok(want)
-            );
-        }
-        for (name, raw, what) in [
-            ("SKIA_SAMPLE", "yes", "a boolean"),
-            ("SKIA_SAMPLE_INTERVAL", "0", "a positive integer"),
-            ("SKIA_SAMPLE_K", "0", "a positive integer"),
-            ("SKIA_SAMPLE_K", "three", "a positive integer"),
-            ("SKIA_SAMPLE_K", "", "a positive integer"),
-            ("SKIA_SAMPLE_WARMUP", "-1", "an unsigned integer"),
-            ("SKIA_SAMPLE_SEED", "ninety", "an unsigned integer"),
-        ] {
-            assert_eq!(
-                sampling(&[(name, raw)]),
-                Err(format!("{name}={raw:?}: not {what}")),
-                "{name}={raw}"
-            );
-        }
     }
 
     #[test]

@@ -14,6 +14,9 @@
 //!   events (resteers, SBB inserts/evicts/rescues, BTB misses, prefetch
 //!   issues), sampled at a configurable rate, exportable as Chrome
 //!   `trace_event` JSON or JSONL.
+//! * [`counter_struct!`] and [`CounterName`] ([`counters`] module) — one
+//!   field list per stats struct, from which registry export, sampling
+//!   deltas and estimates, and the oracle's report are all derived.
 //! * [`Snapshot`] — a serde-serialized materialization of the whole
 //!   registry, written by the experiment binaries' `--emit-json`.
 //! * [`SpanGuard`] — RAII wall-clock span profiling ([`span`](mod@span) module): a
@@ -54,6 +57,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod counters;
 pub mod histogram;
 pub mod json;
 pub mod registry;
@@ -61,12 +65,13 @@ pub mod snapshot;
 pub mod span;
 pub mod trace;
 
+pub use counters::CounterName;
 pub use histogram::{Histogram, HistogramSnapshot, LocalHistogram};
 pub use registry::{Counter, Gauge, MetricRegistry};
 pub use snapshot::Snapshot;
 pub use span::{
-    drain_spans, init_spans_from_env, set_spans_enabled, span, span_with, spans_enabled, SpanGuard,
-    SpanRecord, SpanRollup,
+    drain_spans, set_spans_enabled, span, span_with, spans_enabled, SpanGuard, SpanRecord,
+    SpanRollup,
 };
 pub use trace::{to_chrome_trace, to_chrome_trace_full, Event, EventKind, EventTrace, TraceConfig};
 

@@ -34,46 +34,31 @@ impl CacheConfig {
     }
 }
 
-/// Hit/miss/fill counters for one cache level.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Demand lookups that hit.
-    pub demand_hits: u64,
-    /// Demand lookups that missed.
-    pub demand_misses: u64,
-    /// Prefetch lookups that hit (no fill needed).
-    pub prefetch_hits: u64,
-    /// Prefetch lookups that missed and triggered a fill.
-    pub prefetch_misses: u64,
-    /// Valid lines displaced by fills.
-    pub evictions: u64,
-    /// Lines filled by prefetches that were evicted without ever being
-    /// demand-hit — the pollution measure.
-    pub polluting_fills: u64,
+skia_telemetry::counter_struct! {
+    /// Hit/miss/fill counters for one cache level.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct CacheStats {
+        /// Demand lookups that hit.
+        pub demand_hits: u64,
+        /// Demand lookups that missed.
+        pub demand_misses: u64,
+        /// Prefetch lookups that hit (no fill needed).
+        pub prefetch_hits: u64,
+        /// Prefetch lookups that missed and triggered a fill.
+        pub prefetch_misses: u64,
+        /// Valid lines displaced by fills.
+        pub evictions: u64,
+        /// Lines filled by prefetches that were evicted without ever being
+        /// demand-hit — the pollution measure.
+        pub polluting_fills: u64,
+    }
 }
 
 impl CacheStats {
-    /// All lookups.
-    #[must_use]
-    pub fn accesses(&self) -> u64 {
-        self.demand_hits + self.demand_misses + self.prefetch_hits + self.prefetch_misses
-    }
-
     /// All misses.
     #[must_use]
     pub fn misses(&self) -> u64 {
         self.demand_misses + self.prefetch_misses
-    }
-
-    /// Upsert every counter into `reg` under `prefix` (e.g. `l1i`) — the
-    /// pull-model telemetry bridge for snapshot-time export.
-    pub fn register_into(&self, reg: &mut skia_telemetry::MetricRegistry, prefix: &str) {
-        reg.set_counter(&format!("{prefix}.demand_hits"), self.demand_hits);
-        reg.set_counter(&format!("{prefix}.demand_misses"), self.demand_misses);
-        reg.set_counter(&format!("{prefix}.prefetch_hits"), self.prefetch_hits);
-        reg.set_counter(&format!("{prefix}.prefetch_misses"), self.prefetch_misses);
-        reg.set_counter(&format!("{prefix}.evictions"), self.evictions);
-        reg.set_counter(&format!("{prefix}.polluting_fills"), self.polluting_fills);
     }
 }
 

@@ -133,12 +133,6 @@ impl Ittage {
         }
     }
 
-    /// The paper-scale configuration (~64 KB class).
-    #[must_use]
-    pub fn default_64kb() -> Self {
-        Ittage::new(6, 11, 320)
-    }
-
     fn bit_ago(&self, ago: usize) -> bool {
         // `hist_bits.len()` is a power of two (asserted in `new`), so the
         // circular wrap is a mask instead of a division.

@@ -227,12 +227,7 @@ pub fn cache_root() -> Option<PathBuf> {
 /// FNV-1a 64 over the canonical spec encoding — stable across runs and
 /// platforms (unlike `DefaultHasher`, whose output is unspecified).
 fn spec_key(spec: &ProgramSpec) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in &spec_bytes(spec) {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    skia_telemetry::fnv1a(&spec_bytes(spec))
 }
 
 /// Canonical byte encoding of a spec: every field in declaration order,
@@ -271,15 +266,7 @@ fn spec_bytes(spec: &ProgramSpec) -> Vec<u8> {
 /// plus the walker parameters. Step count is deliberately excluded — one
 /// entry per walk identity, serving any length up to what it stores.
 fn trace_key(spec: &ProgramSpec, seed: u64, mean_trip: u32) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |b: u8| {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for &b in &trace_ident(spec, seed, mean_trip) {
-        mix(b);
-    }
-    hash
+    skia_telemetry::fnv1a(&trace_ident(spec, seed, mean_trip))
 }
 
 /// Canonical identity bytes of a trace: spec encoding ++ seed ++ mean_trip.
@@ -518,21 +505,15 @@ fn write_column<T: Copy, const N: usize>(
     Ok(())
 }
 
-/// Decode a stored trace. `want` bounds how much is *materialized*: when the
-/// stored trace is longer, only the first `want` steps are parsed and the
-/// rest of each column is skipped (columns are contiguous, so the skip is
-/// pure pointer arithmetic). This keeps a cache hit O(requested) even when
-/// the stored recording is much longer — a sweep asking for 20K steps must
-/// not pay to decode a 400K-step file. The returned trace equals
-/// [`RecordedTrace::prefix`] of a full load; the structural checks (magic,
-/// version, exact identity echo, total file size) always cover the whole
-/// file, while per-element validation covers the materialized prefix.
+/// Decode a whole stored trace, validating every element: the structural
+/// checks (magic, version, exact identity echo, total file size), the kind
+/// indices and the taken bits past the step count. Prefix loads go through
+/// the seek path of [`try_load_trace`] instead.
 fn deserialize_trace(
     bytes: &[u8],
     spec: &ProgramSpec,
     seed: u64,
     mean_trip: u32,
-    want: Option<usize>,
 ) -> Option<RecordedTrace> {
     let mut r = Reader { buf: bytes, pos: 0 };
     if r.take(TRACE_MAGIC.len())? != TRACE_MAGIC || r.u32()? != TRACE_FORMAT_VERSION {
@@ -544,46 +525,30 @@ fn deserialize_trace(
         return None; // hash collision or different walk identity
     }
     let n = r.len(22)?;
-    let keep = match want {
-        Some(w) if w < n => w,
-        _ => n,
-    };
     let stored_first = r.u64()?;
-    let first_block_start = if keep == 0 { 0 } else { stored_first };
+    let first_block_start = if n == 0 { 0 } else { stored_first };
     let u64_col = |r: &mut Reader| -> Option<Vec<u64>> {
-        let col: Vec<u64> = r.take(keep * 8)?.chunks_exact(8).map(le_u64).collect();
-        r.take((n - keep) * 8)?;
-        Some(col)
+        Some(r.take(n * 8)?.chunks_exact(8).map(le_u64).collect())
     };
     let branch_pc = u64_col(&mut r)?;
     let next_pc = u64_col(&mut r)?;
-    let insns: Vec<u32> = r.take(keep * 4)?.chunks_exact(4).map(le_u32).collect();
-    r.take((n - keep) * 4)?;
-    let kind = r.take(keep)?.to_vec();
+    let insns: Vec<u32> = r.take(n * 4)?.chunks_exact(4).map(le_u32).collect();
+    let kind = r.take(n)?.to_vec();
     if kind
         .iter()
         .any(|&k| usize::from(k) >= BranchKind::ALL.len())
     {
         return None; // out-of-range kind index — corrupt
     }
-    r.take(n - keep)?;
-    let branch_len = r.take(keep)?.to_vec();
-    r.take(n - keep)?;
-    let mut taken: Vec<u64> = r
-        .take(keep.div_ceil(64) * 8)?
+    let branch_len = r.take(n)?.to_vec();
+    let taken: Vec<u64> = r
+        .take(n.div_ceil(64) * 8)?
         .chunks_exact(8)
         .map(le_u64)
         .collect();
-    r.take((n.div_ceil(64) - keep.div_ceil(64)) * 8)?;
-    if keep % 64 != 0 {
-        if let Some(last) = taken.last_mut() {
-            let stray = *last & !((1u64 << (keep % 64)) - 1);
-            if keep == n && stray != 0 {
-                return None; // stray bits past the step count — corrupt
-            }
-            // Prefix load: bits past `keep` belong to the stored tail.
-            *last &= (1u64 << (keep % 64)) - 1;
-        }
+    let tail = n % 64;
+    if tail != 0 && taken.last().is_some_and(|&w| w >> tail != 0) {
+        return None; // stray bits past the step count — corrupt
     }
     if r.pos != bytes.len() {
         return None; // trailing garbage — treat as corrupt
@@ -666,7 +631,7 @@ fn try_load_trace(
         IO_FULL_LOADS.fetch_add(1, Ordering::Relaxed);
         let mut whole = head;
         whole.extend_from_slice(&rest);
-        return deserialize_trace(&whole, spec, seed, mean_trip, want);
+        return deserialize_trace(&whole, spec, seed, mean_trip);
     }
     let _g = skia_telemetry::span("trace_cache.seek_prefix");
     IO_PREFIX_LOADS.fetch_add(1, Ordering::Relaxed);
@@ -996,7 +961,7 @@ mod tests {
         let program = Program::generate(&spec);
         let trace = RecordedTrace::record(&program, 42, 8, 777);
         let bytes = serialize_trace(&spec, &trace);
-        let loaded = deserialize_trace(&bytes, &spec, 42, 8, None).expect("round trip");
+        let loaded = deserialize_trace(&bytes, &spec, 42, 8).expect("round trip");
         assert_eq!(trace, loaded);
     }
 
@@ -1007,13 +972,13 @@ mod tests {
         let trace = RecordedTrace::record(&program, 42, 8, 200);
         let bytes = serialize_trace(&spec, &trace);
         // Different seed, different mean trip, different spec: all miss.
-        assert!(deserialize_trace(&bytes, &spec, 43, 8, None).is_none());
-        assert!(deserialize_trace(&bytes, &spec, 42, 9, None).is_none());
+        assert!(deserialize_trace(&bytes, &spec, 43, 8).is_none());
+        assert!(deserialize_trace(&bytes, &spec, 42, 9).is_none());
         let other = ProgramSpec {
             seed: spec.seed ^ 1,
             ..test_spec()
         };
-        assert!(deserialize_trace(&bytes, &other, 42, 8, None).is_none());
+        assert!(deserialize_trace(&bytes, &other, 42, 8).is_none());
     }
 
     #[test]
@@ -1023,21 +988,21 @@ mod tests {
         let trace = RecordedTrace::record(&program, 7, 5, 300);
         let bytes = serialize_trace(&spec, &trace);
         // Truncation, a clobbered header byte, and trailing garbage.
-        assert!(deserialize_trace(&bytes[..bytes.len() - 1], &spec, 7, 5, None).is_none());
-        assert!(deserialize_trace(&bytes[1..], &spec, 7, 5, None).is_none());
+        assert!(deserialize_trace(&bytes[..bytes.len() - 1], &spec, 7, 5).is_none());
+        assert!(deserialize_trace(&bytes[1..], &spec, 7, 5).is_none());
         let mut trailing = bytes.clone();
         trailing.push(0);
-        assert!(deserialize_trace(&trailing, &spec, 7, 5, None).is_none());
+        assert!(deserialize_trace(&trailing, &spec, 7, 5).is_none());
         // An out-of-range kind index in the kind column is caught.
         let mut bad_kind = bytes.clone();
         let kind_off = bytes.len() - 300 /* len */ - 300 /* kind */ - 8 * 300usize.div_ceil(64);
         bad_kind[kind_off] = 0xFF;
-        assert!(deserialize_trace(&bad_kind, &spec, 7, 5, None).is_none());
+        assert!(deserialize_trace(&bad_kind, &spec, 7, 5).is_none());
         // Stray taken bits past the step count are caught.
         let mut bad_taken = bytes.clone();
         let last = bad_taken.len() - 1;
         bad_taken[last] |= 0x80; // bit 63 of the tail word; 300 % 64 == 44
-        assert!(deserialize_trace(&bad_taken, &spec, 7, 5, None).is_none());
+        assert!(deserialize_trace(&bad_taken, &spec, 7, 5).is_none());
     }
 
     #[test]
@@ -1138,7 +1103,7 @@ mod tests {
         bumped[TRACE_MAGIC.len()..TRACE_MAGIC.len() + 4]
             .copy_from_slice(&(TRACE_FORMAT_VERSION + 1).to_le_bytes());
         std::fs::write(&path, &bumped).unwrap();
-        assert!(deserialize_trace(&bumped, &spec, 9, 6, None).is_none());
+        assert!(deserialize_trace(&bumped, &spec, 9, 6).is_none());
         let (t, outcome) = load_or_record_trace_in(Some(&dir), &program, &spec, 9, 6, 500);
         assert_eq!(outcome, TraceCacheOutcome::Recorded);
         assert_eq!(t, reference);
@@ -1219,12 +1184,7 @@ mod tests {
         assert_eq!(outcome, TraceCacheOutcome::Recorded);
         let digest = |name: String| {
             let bytes = std::fs::read(dir.join(name)).expect("stored file");
-            let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-            for &b in &bytes {
-                hash ^= u64::from(b);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            (bytes.len(), hash)
+            (bytes.len(), skia_telemetry::fnv1a(&bytes))
         };
         let prog = digest(format!(
             "program-{:016x}-v{FORMAT_VERSION}.bin",

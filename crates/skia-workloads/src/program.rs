@@ -585,12 +585,6 @@ impl Program {
         self.image.len()
     }
 
-    /// Number of cache lines the image spans.
-    #[must_use]
-    pub fn code_lines(&self) -> usize {
-        self.image.len().div_ceil(CACHE_LINE_BYTES)
-    }
-
     /// All functions.
     #[must_use]
     pub fn functions(&self) -> &[Function] {
@@ -645,13 +639,6 @@ impl Program {
     pub fn branch_at(&self, pc: u64) -> Option<&BranchMeta> {
         let &(fi, bi) = self.branch_index.get(&pc)?;
         Some(&self.functions[fi as usize].blocks[bi as usize].terminator)
-    }
-
-    /// The block whose first instruction is at `pc`, if any.
-    #[must_use]
-    pub fn block_starting_at(&self, pc: u64) -> Option<&BasicBlock> {
-        let &(fi, bi) = self.block_index.get(&pc)?;
-        Some(&self.functions[fi as usize].blocks[bi as usize])
     }
 
     /// `(function index, block index)` of the block starting at `pc`.

@@ -124,12 +124,6 @@ pub struct Walker<'p> {
 }
 
 impl<'p> Walker<'p> {
-    /// Current call-stack depth (diagnostic).
-    #[must_use]
-    pub fn stack_depth(&self) -> usize {
-        self.stack.len()
-    }
-
     /// Start walking `program` from the dispatcher (function 0).
     #[must_use]
     pub fn new(program: &'p Program, seed: u64, mean_trip: u32) -> Self {

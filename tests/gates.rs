@@ -9,7 +9,9 @@ use skia_core::SkiaConfig;
 use skia_frontend::{FrontendConfig, Simulator};
 use skia_isa::BranchKind;
 use skia_oracle::{run_case, DiffCase};
-use skia_workloads::{Layout, Program, ProgramSpec, RecordedTrace, SamplingPlan, Walker};
+use skia_workloads::{
+    Layout, Program, ProgramSpec, RecordedTrace, SamplingConfig, SamplingPlan, Walker,
+};
 
 /// Skia on, both layouts, with the default SBB and a tiny one (eviction
 /// and retired-bit replacement hot): every case must replay without a
@@ -63,6 +65,65 @@ fn degenerate_sampling_is_exact_for_btb_plus_skia() {
     let sampled = skia_frontend::run_plan(&program, &config, &recorded, &plan, None);
     assert!(full.skia.is_some_and(|s| s.sbd.head_regions > 0));
     assert_eq!(sampled, full, "degenerate plan must be exact");
+}
+
+/// FNV-1a 64 of a value's `Debug` form.
+fn debug_digest(value: &impl std::fmt::Debug) -> u64 {
+    skia_telemetry::fnv1a(format!("{value:?}").as_bytes())
+}
+
+/// A non-degenerate sampled estimate is pinned bit for bit, together with
+/// the counter maps of its snapshot and of a full run's: four slices of a
+/// 6k-step trace under the paper's 8K-entry BTB plus the default Skia SBB.
+/// Every slice delta, weighted sum and registry name feeds these digests,
+/// so a counter dropped from (or misnamed in) any of them fails here.
+#[test]
+fn sampled_estimate_and_snapshots_are_pinned() {
+    let program = Program::generate(&ProgramSpec {
+        seed: 9,
+        functions: 120,
+        layout: Layout::Bolted,
+        ..ProgramSpec::default()
+    });
+    let steps = 6_000;
+    let recorded = RecordedTrace::record(&program, 7, 6, steps);
+    let config = FrontendConfig::alder_lake_like()
+        .with_btb_entries(8192)
+        .with_skia(SkiaConfig::default());
+    let plan = SamplingPlan::build(
+        &recorded,
+        steps,
+        &SamplingConfig {
+            interval: 500,
+            k: 4,
+            warmup: 100,
+            ..SamplingConfig::for_steps(steps)
+        },
+    );
+    assert!(plan.slices.len() >= 3, "{} slices", plan.slices.len());
+    let (est, sampled) =
+        skia_frontend::run_plan_instrumented(&program, &config, &recorded, &plan, None);
+    assert!(est
+        .skia
+        .is_some_and(|s| s.sbb.u_inserts + s.sbb.r_inserts > 0));
+    let (_, full) =
+        skia_frontend::run_instrumented(&program, config, None, recorded.window(0, steps));
+    let got = [
+        debug_digest(&est),
+        debug_digest(&sampled.counters),
+        debug_digest(&full.counters),
+    ];
+    let want = [
+        0xb3e6_f22c_4748_0041,
+        0x3e21_c259_3f65_376f,
+        0x6604_6483_a3c7_e7e8,
+    ];
+    assert_eq!(
+        (sampled.counters.len(), full.counters.len()),
+        (73, 66),
+        "counter names in the sampled and full snapshots"
+    );
+    assert_eq!(got, want, "digests {got:#x?}");
 }
 
 /// FNV-1a 64 over every field of every step of a `steps`-long walk, plus
