@@ -1,7 +1,5 @@
 //! Ablation table: the design choices DESIGN.md calls out, measured at
 //! full experiment scale on a representative subset of benchmarks.
-//! (The Criterion `ablations` bench measures the same knobs at small scale
-//! with timing; this binary prints the metric table.)
 
 use skia_core::{IndexPolicy, SbbConfig, SkiaConfig};
 use skia_experiments::{geomean, row, steps_from_env, Args, StandingConfig, Sweep};

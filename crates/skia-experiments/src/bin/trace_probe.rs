@@ -1,11 +1,17 @@
 //! Diagnostic: trace-concentration statistics for one workload (development
-//! tool; not a paper figure). Usage: `trace_probe <benchmark>`.
-use skia_experiments::{steps_from_env, Workload};
+//! tool; not a paper figure). Usage: `trace_probe [benchmark]` (default
+//! `sibench`).
+use skia_experiments::{steps_from_env, Args, Workload};
 use skia_workloads::Walker;
 use std::collections::HashMap;
 
 fn main() {
-    let name = std::env::args().nth(1).unwrap_or_else(|| "sibench".into());
+    let args = Args::parse_with_names();
+    let name = args
+        .names
+        .first()
+        .cloned()
+        .unwrap_or_else(|| "sibench".into());
     let steps = steps_from_env();
     let w = Workload::by_name(&name);
     let mut blocks: HashMap<u64, u64> = HashMap::new();

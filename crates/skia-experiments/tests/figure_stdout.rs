@@ -212,6 +212,7 @@ fn unknown_positional_benchmark_is_rejected() {
     for exe in [
         env!("CARGO_BIN_EXE_calibrate"),
         env!("CARGO_BIN_EXE_coverage_probe"),
+        env!("CARGO_BIN_EXE_trace_probe"),
     ] {
         assert_fails_loudly(
             exe,

@@ -44,19 +44,13 @@ pub use targets::sbb::SbbTarget;
 pub use targets::shadow::{LineCase, ShadowTarget};
 
 use skia_oracle::{OracleFault, SbdFault};
+use skia_telemetry::fnv1a;
 
 /// Stable FNV-1a hash of a feature tuple — the coverage-map key. The first
 /// element conventionally namespaces the feature class within a target.
 #[must_use]
 pub fn feature(parts: &[u64]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &p in parts {
-        for b in p.to_le_bytes() {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    hash
+    fnv1a(parts.iter().flat_map(|p| p.to_le_bytes()))
 }
 
 /// Replay one `SKIA_FUZZ_REPLAY` token: `<target>[@fault]:<body>`.
@@ -112,5 +106,21 @@ fn parse_sbd_fault(tag: &str) -> Result<SbdFault, String> {
         "tail-skip-first-byte" => Ok(SbdFault::TailSkipFirstByte),
         "head-chooses-last-start" => Ok(SbdFault::HeadChoosesLastStart),
         _ => Err(format!("unknown fault tag {tag:?} for shadow")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn feature_hashes_the_parts_little_endian_bytes() {
+        let (a, b) = (3u64, 0xdead_beef_0123_4567u64);
+        assert_eq!(
+            feature(&[a, b]),
+            fnv1a([a.to_le_bytes(), b.to_le_bytes()].concat())
+        );
+        // The coverage map keys on these exact values.
+        assert_eq!(feature(&[a, b]), 0x74e2_608a_f973_1f38);
     }
 }

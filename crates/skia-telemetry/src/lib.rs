@@ -75,17 +75,20 @@ pub use span::{
 };
 pub use trace::{to_chrome_trace, to_chrome_trace_full, Event, EventKind, EventTrace, TraceConfig};
 
-/// FNV-1a hash of a byte slice — the repo's standing content fingerprint.
+use std::borrow::Borrow;
+
+/// FNV-1a hash of a byte sequence — the repo's standing content fingerprint.
 ///
 /// The same constants back [`Snapshot::counter_features`] (whose outputs are
 /// pinned by the fuzz-corpus contract) and the sampling-plan provenance
 /// fingerprints recorded in sampled-run snapshots. Deterministic across
-/// runs and platforms.
+/// runs and platforms. Takes any byte iterator (a `&[u8]` or a streamed
+/// sequence), so callers hashing composite values need not buffer them.
 #[must_use]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
+pub fn fnv1a<B: Borrow<u8>>(bytes: impl IntoIterator<Item = B>) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
+    for b in bytes {
+        hash ^= u64::from(*b.borrow());
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash

@@ -227,7 +227,7 @@ pub fn cache_root() -> Option<PathBuf> {
 /// FNV-1a 64 over the canonical spec encoding — stable across runs and
 /// platforms (unlike `DefaultHasher`, whose output is unspecified).
 fn spec_key(spec: &ProgramSpec) -> u64 {
-    skia_telemetry::fnv1a(&spec_bytes(spec))
+    skia_telemetry::fnv1a(spec_bytes(spec))
 }
 
 /// Canonical byte encoding of a spec: every field in declaration order,
@@ -266,7 +266,7 @@ fn spec_bytes(spec: &ProgramSpec) -> Vec<u8> {
 /// plus the walker parameters. Step count is deliberately excluded — one
 /// entry per walk identity, serving any length up to what it stores.
 fn trace_key(spec: &ProgramSpec, seed: u64, mean_trip: u32) -> u64 {
-    skia_telemetry::fnv1a(&trace_ident(spec, seed, mean_trip))
+    skia_telemetry::fnv1a(trace_ident(spec, seed, mean_trip))
 }
 
 /// Canonical identity bytes of a trace: spec encoding ++ seed ++ mean_trip.
